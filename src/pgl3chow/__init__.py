@@ -6,7 +6,6 @@ relations, and the graded structure of the candidate presented ring."""
 from .checks import CheckResult, CheckSpec, Report, list_checks, run_all, run_check
 from .poly import (
     INTEGERS,
-    RATIONALS,
     CoefficientRing,
     Polynomial,
     RingMap,
@@ -14,7 +13,6 @@ from .poly import (
     context,
     integers_mod,
     parse,
-    substitute,
 )
 
 __all__ = [
@@ -23,7 +21,6 @@ __all__ = [
     "CoefficientRing",
     "INTEGERS",
     "Polynomial",
-    "RATIONALS",
     "Report",
     "RingMap",
     "VariableContext",
@@ -33,5 +30,4 @@ __all__ = [
     "parse",
     "run_all",
     "run_check",
-    "substitute",
 ]

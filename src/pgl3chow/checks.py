@@ -175,8 +175,7 @@ def describe_substitution(group: MatrixGroup, label: str) -> str:
     ctx = group.ctx
     pieces = []
     for i, name in enumerate(ctx.names):
-        form = Polynomial.linear_form(ctx, [matrix[j][i] for j in range(ctx.arity)],
-                                      group.ring)
+        form = Polynomial.linear_form(ctx, [matrix[j][i] for j in range(ctx.arity)])
         pieces.append(f"{name} -> {form.render()}")
     return ", ".join(pieces)
 
@@ -230,10 +229,7 @@ def _gamma_span_vectors(gammas: Mapping[str, Polynomial], d: int) -> list[list[i
     return vectors
 
 
-def _check_gamma_generation(max_degree: int | None) -> tuple[bool, Witnesses]:
-    bound = 12 if max_degree is None else max_degree
-    if bound < 0:
-        raise CheckConfigError("max degree must be non-negative")
+def _check_gamma_generation(bound: int) -> tuple[bool, Witnesses]:
     gammas = gamma_generators()
     group = s3_on_x()
     constraint = LinearConstraint(SHIFT_DIRECTION)
@@ -592,10 +588,7 @@ def _laurent_reduce(p: Polynomial) -> Polynomial:
     return Polynomial(p.context, p.ring, terms)
 
 
-def _check_repring_generators(max_degree: int | None) -> tuple[bool, Witnesses]:
-    bound = 9 if max_degree is None else max_degree
-    if bound < 0:
-        raise CheckConfigError("max degree must be non-negative")
+def _check_repring_generators(bound: int) -> tuple[bool, Witnesses]:
     ctx = T_GL3.ctx
     x = [Polynomial.variable(ctx, n) for n in ctx.names]
     one = Polynomial.constant(ctx, 1)
@@ -649,8 +642,13 @@ def _check_repring_generators(max_degree: int | None) -> tuple[bool, Witnesses]:
                             f"<(3,0),(1,1),(0,3)>"))
             else:
                 i, j, k = found
-                assert 3 * i + j == a and j + 3 * k == b
-                decomposed += 1
+                if 3 * i + j == a and j + 3 * k == b:
+                    decomposed += 1
+                else:
+                    ok = False
+                    wit.append(("counterexample monoid",
+                                f"s1^{a}*s2^{b}: i={i}, j={j}, k={k} does not "
+                                f"recombine to ({a}, {b})"))
     wit.append(("admissible monomials decomposed",
                 f"{decomposed} up to total degree {bound}"))
     return ok, wit
@@ -676,10 +674,7 @@ def _count_rational_monomials(d: int) -> int:
     return sum(1 for a in range(d // 2 + 1) if (d - 2 * a) % 3 == 0)
 
 
-def _check_rstar_structure(max_degree: int | None) -> tuple[bool, Witnesses]:
-    bound = 16 if max_degree is None else max_degree
-    if bound < 0:
-        raise CheckConfigError("max degree must be non-negative")
+def _check_rstar_structure(bound: int) -> tuple[bool, Witnesses]:
     pres = rstar_presentation()
     ranks = dict(rational_rank_table(pres, bound))
     ok = True
@@ -859,12 +854,17 @@ def run_check(name: str, max_degree: int | None = None) -> CheckResult:
     return CheckResult(name, verdict, tuple(witnesses), elapsed)
 
 
+def validate_overrides(max_degree_overrides: Mapping[str, int]) -> None:
+    """Reject degree-bound overrides that name no registered check."""
+    for key in max_degree_overrides:
+        if key not in _BY_NAME:
+            raise UnknownCheckError(key)
+
+
 def run_all(max_degree_overrides: Mapping[str, int] | None = None,
             global_max_degree: int | None = None) -> Report:
     overrides = dict(max_degree_overrides or {})
-    for key in overrides:
-        if key not in _BY_NAME:
-            raise UnknownCheckError(key)
+    validate_overrides(overrides)
     results = []
     for entry in _REGISTRY:
         bound = overrides.get(entry.spec.name, global_max_degree)

@@ -81,7 +81,6 @@ class Config:
     output_format: str = "text"
     max_degree: int | None = None
     max_degree_overrides: dict[str, int] = field(default_factory=dict)
-    config_path: str | None = None
 
 
 def _anchors() -> dict[str, str]:
@@ -125,7 +124,7 @@ def render_report_text(report: Report, config: Config, selection: str) -> str:
     return "\n".join(lines)
 
 
-def _resolve_presentation(spec: str, user: UserConfig | None) -> RingPresentation:
+def _resolve_presentation(spec: str) -> RingPresentation:
     if spec.startswith("builtin:"):
         name = spec.split(":", 1)[1]
         if name not in BUILTIN_PRESENTATIONS:
@@ -145,9 +144,9 @@ def _resolve_presentation(spec: str, user: UserConfig | None) -> RingPresentatio
 def cmd_check(args: argparse.Namespace, config: Config) -> int:
     selection = "--all" if args.all else args.name
     try:
+        checks.validate_overrides(config.max_degree_overrides)
         if args.all:
-            overrides = dict(config.max_degree_overrides)
-            report = checks.run_all(overrides, config.max_degree)
+            report = checks.run_all(config.max_degree_overrides, config.max_degree)
         else:
             bound = config.max_degree
             if bound is None:
@@ -167,13 +166,12 @@ def cmd_check(args: argparse.Namespace, config: Config) -> int:
     return 0 if report.all_passed else 1
 
 
-def cmd_hilbert(args: argparse.Namespace, config: Config,
-                user: UserConfig | None) -> int:
+def cmd_hilbert(args: argparse.Namespace) -> int:
     if args.max_degree < 0:
         print("error: --max-degree must be >= 0", file=sys.stderr)
         return 2
     try:
-        pres = _resolve_presentation(args.spec, user)
+        pres = _resolve_presentation(args.spec)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -183,7 +181,7 @@ def cmd_hilbert(args: argparse.Namespace, config: Config,
     return 0
 
 
-def cmd_list(args: argparse.Namespace) -> int:
+def cmd_list() -> int:
     for spec in checks.list_checks():
         print(f"{spec.name}: {spec.description} [anchor: {spec.paper_anchor}]")
     return 0
@@ -195,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification of the computations behind the Chow "
                     "ring of the classifying stack of PGL3.")
     parser.add_argument("--config", metavar="PATH",
-                        help="config file with options, groups, representations "
-                             "and presentations")
+                        help="config file; its [options] section sets the "
+                             "report format and per-check max-degree bounds")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="run one check or the whole registry")
@@ -236,7 +234,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     config = Config()
     if user is not None:
-        config.config_path = args.config
         config.max_degree_overrides.update(user.max_degree_overrides)
         if user.output_format:
             config.output_format = user.output_format
@@ -252,9 +249,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "check":
             return cmd_check(args, config)
         if args.command == "hilbert":
-            return cmd_hilbert(args, config, user)
+            return cmd_hilbert(args)
         if args.command == "list":
-            return cmd_list(args)
+            return cmd_list()
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

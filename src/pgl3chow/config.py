@@ -1,5 +1,4 @@
-"""Flat sectioned text config files defining options, groups, constraints,
-representations and ring presentations.
+"""Flat sectioned text config files defining options and ring presentations.
 
 Grammar (line oriented; ``#`` starts a comment, blank lines are ignored)::
 
@@ -7,24 +6,10 @@ Grammar (line oriented; ``#`` starts a comment, blank lines are ignored)::
     format = text | json
     max-degree <check-name> = <non-negative integer>
 
-    [group NAME]
-    context = v1 v2 ... vn
-    weights = w1 w2 ... wn          # optional, default all 1
-    element LABEL = a11 a12 ... a1n / a21 ... / ... ann
-
-    [constraint NAME]
-    context = v1 v2 ... vn
-    shift = d1 d2 ... dn
-
-    [rep NAME]
-    lattice = <catalogued lattice name>
-    weight = c1 c2 ... cr           # repeatable; optional "* m" multiplicity
-
     [presentation NAME]
     generators = name:degree name:degree ...
     relation = <polynomial text over the generator symbols>
 
-Element matrices act on column coordinate vectors, matching the group module.
 Unknown section kinds and unknown keys are rejected rather than ignored.
 """
 
@@ -33,41 +18,21 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .groups import LinearConstraint, MatrixGroup
-from .poly import VariableContext, context
 from .presented import RingPresentation
-from .repcalc import LATTICES, VirtualRep
 
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class NamedConstraint:
-    name: str
-    ctx: VariableContext
-    constraint: LinearConstraint
-
-
 @dataclass
 class UserConfig:
     output_format: str | None = None
     max_degree_overrides: dict[str, int] = field(default_factory=dict)
-    groups: dict[str, MatrixGroup] = field(default_factory=dict)
-    constraints: dict[str, NamedConstraint] = field(default_factory=dict)
-    representations: dict[str, VirtualRep] = field(default_factory=dict)
     presentations: dict[str, RingPresentation] = field(default_factory=dict)
 
 
 _SECTION_RE = re.compile(r"\[\s*(\w[\w-]*)(?:\s+(\S+))?\s*\]\Z")
-
-
-def _ints(text: str, what: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split()]
-    except ValueError:
-        raise ConfigError(f"expected integers for {what}, got {text!r}") from None
 
 
 class _SectionBuilder:
@@ -80,13 +45,11 @@ class _SectionBuilder:
     def add(self, key: str, value: str, lineno: int) -> None:
         self.entries.append((key, value, lineno))
 
-    def single(self, key: str, required: bool = True) -> str | None:
+    def single(self, key: str) -> str:
         values = [v for k, v, _ in self.entries if k == key]
         if not values:
-            if required:
-                raise ConfigError(f"section [{self.kind} {self.name}] is missing "
-                                  f"'{key}'")
-            return None
+            raise ConfigError(f"section [{self.kind} {self.name}] is missing "
+                              f"'{key}'")
         if len(values) > 1:
             raise ConfigError(f"duplicate '{key}' in [{self.kind} {self.name}]")
         return values[0]
@@ -110,84 +73,6 @@ def _finish_options(section: _SectionBuilder, cfg: UserConfig) -> None:
             cfg.max_degree_overrides[tokens[1]] = bound
         else:
             raise ConfigError(f"line {lineno}: unknown options key {key!r}")
-
-
-def _finish_group(section: _SectionBuilder, cfg: UserConfig) -> None:
-    names = section.single("context").split()
-    weights_text = section.single("weights", required=False)
-    weights = _ints(weights_text, "weights") if weights_text else None
-    ctx = context(tuple(names), tuple(weights) if weights else None)
-    elements: dict[str, list[list[int]]] = {}
-    for key, value, lineno in section.entries:
-        tokens = key.split()
-        if tokens[0] in ("context", "weights"):
-            if len(tokens) != 1:
-                raise ConfigError(f"line {lineno}: unknown group key {key!r}")
-            continue
-        if len(tokens) == 2 and tokens[0] == "element":
-            rows = [
-                _ints(part, f"element {tokens[1]}")
-                for part in value.split("/")
-            ]
-            if any(len(r) != ctx.arity for r in rows) or len(rows) != ctx.arity:
-                raise ConfigError(f"line {lineno}: element {tokens[1]} is not "
-                                  f"{ctx.arity}x{ctx.arity}")
-            if tokens[1] in elements:
-                raise ConfigError(f"line {lineno}: duplicate element {tokens[1]}")
-            elements[tokens[1]] = rows
-        else:
-            raise ConfigError(f"line {lineno}: unknown group key {key!r}")
-    if not elements:
-        raise ConfigError(f"group {section.name!r} defines no elements")
-    group = MatrixGroup.from_dict(ctx, elements)
-    report = group.closure_check()
-    if not report.ok:
-        raise ConfigError(f"group {section.name!r} fails closure: "
-                          + "; ".join(report.violations))
-    cfg.groups[section.name] = group
-
-
-def _finish_constraint(section: _SectionBuilder, cfg: UserConfig) -> None:
-    names = section.single("context").split()
-    direction = _ints(section.single("shift"), "shift")
-    ctx = context(tuple(names))
-    if len(direction) != ctx.arity:
-        raise ConfigError(f"constraint {section.name!r}: direction arity mismatch")
-    for key, _, lineno in section.entries:
-        if key not in ("context", "shift"):
-            raise ConfigError(f"line {lineno}: unknown constraint key {key!r}")
-    cfg.constraints[section.name] = NamedConstraint(
-        section.name, ctx, LinearConstraint(tuple(direction)))
-
-
-def _finish_rep(section: _SectionBuilder, cfg: UserConfig) -> None:
-    lattice_name = section.single("lattice")
-    if lattice_name not in LATTICES:
-        raise ConfigError(f"rep {section.name!r}: unknown lattice {lattice_name!r}; "
-                          f"known: {', '.join(sorted(LATTICES))}")
-    lattice = LATTICES[lattice_name]
-    weights = []
-    for key, value, lineno in section.entries:
-        if key == "lattice":
-            continue
-        if key != "weight":
-            raise ConfigError(f"line {lineno}: unknown rep key {key!r}")
-        mult = 1
-        body = value
-        if "*" in value:
-            body, mult_text = value.split("*", 1)
-            try:
-                mult = int(mult_text)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: bad multiplicity") from None
-        coords = _ints(body, "weight")
-        if len(coords) != lattice.rank:
-            raise ConfigError(f"line {lineno}: weight has wrong rank for "
-                              f"{lattice_name}")
-        weights.append((tuple(coords), mult))
-    if not weights:
-        raise ConfigError(f"rep {section.name!r} defines no weights")
-    cfg.representations[section.name] = VirtualRep.from_weights(lattice, weights)
 
 
 _GENERATOR_RE = re.compile(r"(\w+):(\d+)\Z")
@@ -218,9 +103,6 @@ def _finish_presentation(section: _SectionBuilder, cfg: UserConfig) -> None:
 
 _FINISHERS = {
     "options": _finish_options,
-    "group": _finish_group,
-    "constraint": _finish_constraint,
-    "rep": _finish_rep,
     "presentation": _finish_presentation,
 }
 

@@ -18,12 +18,11 @@ parameter, which :func:`literally_shift_invariant` provides as a cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from . import intlinalg
 from .poly import (
     INTEGERS,
-    CoefficientRing,
     ContextMismatchError,
     Polynomial,
     RingMap,
@@ -58,17 +57,10 @@ class ClosureReport:
 
 @dataclass(frozen=True)
 class MatrixGroup:
-    """Explicit element list of unimodular matrices acting on a context."""
+    """Explicit element list of unimodular matrices acting on a context over Z."""
 
     ctx: VariableContext
     elements: tuple[tuple[str, MatrixRows], ...]
-    ring: CoefficientRing = INTEGERS
-
-    @staticmethod
-    def from_dict(ctx: VariableContext, elements: Mapping[str, Sequence[Sequence[int]]],
-                  ring: CoefficientRing = INTEGERS) -> "MatrixGroup":
-        return MatrixGroup(ctx, tuple((label, _freeze(m)) for label, m in elements.items()),
-                           ring)
 
     def labels(self) -> list[str]:
         return [label for label, _ in self.elements]
@@ -87,8 +79,8 @@ class MatrixGroup:
         images = []
         for i in range(n):
             images.append(Polynomial.linear_form(
-                self.ctx, [matrix[j][i] for j in range(n)], self.ring))
-        return RingMap(self.ctx, self.ctx, tuple(images), self.ring)
+                self.ctx, [matrix[j][i] for j in range(n)]))
+        return RingMap(self.ctx, self.ctx, tuple(images), INTEGERS)
 
     def act(self, label: str, p: Polynomial) -> Polynomial:
         if p.context != self.ctx:
@@ -101,7 +93,7 @@ class MatrixGroup:
     def orbit_sum(self, p: Polynomial) -> Polynomial:
         if p.context != self.ctx:
             raise ContextMismatchError("polynomial not over the group's context")
-        total = Polynomial.zero(self.ctx, self.ring)
+        total = Polynomial.zero(self.ctx)
         for _, matrix in self.elements:
             total = total + self._ring_map(matrix).apply(p)
         return total
@@ -110,7 +102,6 @@ class MatrixGroup:
         violations: list[str] = []
         n = self.ctx.arity
         mats = [m for _, m in self.elements]
-        labels = self.labels()
         if len(set(mats)) != len(mats):
             violations.append("duplicate element matrices")
         ident = _freeze(intlinalg.identity(n))
@@ -121,20 +112,13 @@ class MatrixGroup:
                 violations.append(f"{label}: not {n}x{n}")
                 continue
             det = intlinalg.bareiss_determinant([list(r) for r in m])
-            if self.ring.kind == "Zmod":
-                from math import gcd
-                if gcd(det, self.ring.modulus) != 1:
-                    violations.append(f"{label}: determinant {det} not invertible "
-                                      f"mod {self.ring.modulus}")
-            elif det not in (1, -1):
+            if det not in (1, -1):
                 violations.append(f"{label}: determinant {det} not a unit")
         mat_set = set(mats)
         for la, ma in self.elements:
             for lb, mb in self.elements:
                 prod = _freeze(intlinalg.matmul([list(r) for r in ma],
                                                 [list(r) for r in mb]))
-                if self.ring.kind == "Zmod":
-                    prod = tuple(tuple(x % self.ring.modulus for x in row) for row in prod)
                 if prod not in mat_set:
                     violations.append(f"product {la}*{lb} escapes the element set")
         for label, m in self.elements:
@@ -152,7 +136,7 @@ def action_matrix(group: MatrixGroup, matrix: MatrixRows, d: int) -> intlinalg.M
     cols = len(basis)
     out = [[0] * cols for _ in range(cols)]
     for j, exp in enumerate(basis):
-        mono = Polynomial(group.ctx, group.ring, {exp: 1})
+        mono = Polynomial(group.ctx, INTEGERS, {exp: 1})
         image = group.act_matrix(matrix, mono)
         for e, c in image.terms.items():
             out[index[e]][j] = c
@@ -199,17 +183,15 @@ def invariant_basis(group: MatrixGroup, constraints: Sequence[LinearConstraint],
         kernel = intlinalg.kernel_basis(stacked)
     out = []
     for vec in kernel:
-        out.append(Polynomial(group.ctx, group.ring,
+        out.append(Polynomial(group.ctx, INTEGERS,
                               {basis[i]: vec[i] for i in range(cols)}))
     return out
 
 
-def literally_shift_invariant(p: Polynomial, direction: Sequence[int],
-                              parameter: str = "t") -> bool:
+def literally_shift_invariant(p: Polynomial, direction: Sequence[int]) -> bool:
     """Check f(x + t*direction) == f(x) with an explicit auxiliary variable."""
     ctx = p.context
-    if parameter in ctx.names:
-        parameter = parameter + "_shift"
+    parameter = "t_shift" if "t" in ctx.names else "t"
     extended = context(ctx.names + (parameter,), ctx.weights + (1,))
     t = Polynomial.variable(extended, parameter, p.ring)
     images = []
@@ -249,11 +231,10 @@ def transported_group(group: MatrixGroup, embedding: Sequence[Sequence[int]],
         n = [[cols[j][i] for j in range(target_ctx.arity)]
              for i in range(target_ctx.arity)]
         elements.append((label, _freeze(n)))
-    return MatrixGroup(target_ctx, tuple(elements), group.ring)
+    return MatrixGroup(target_ctx, tuple(elements))
 
 
-def symmetric_group_s3(ctx: VariableContext,
-                       ring: CoefficientRing = INTEGERS) -> MatrixGroup:
+def symmetric_group_s3(ctx: VariableContext) -> MatrixGroup:
     """S3 permuting three variables; sigma sends variable i to variable
     sigma^{-1}(i), so cycles act on linear forms the usual way."""
     if ctx.arity != 3:
@@ -275,10 +256,9 @@ def symmetric_group_s3(ctx: VariableContext,
         for j in range(3):
             m[j][perm[j]] = 1
         elements.append((label, _freeze(m)))
-    return MatrixGroup(ctx, tuple(elements), ring)
+    return MatrixGroup(ctx, tuple(elements))
 
 
-def alternating_subgroup(group: MatrixGroup,
-                         labels: Iterable[str] = ("e", "(123)", "(132)")) -> MatrixGroup:
-    picked = tuple((label, group.matrix(label)) for label in labels)
-    return MatrixGroup(group.ctx, picked, group.ring)
+def alternating_subgroup(group: MatrixGroup) -> MatrixGroup:
+    picked = tuple((label, group.matrix(label)) for label in ("e", "(123)", "(132)"))
+    return MatrixGroup(group.ctx, picked)

@@ -39,17 +39,6 @@ def transpose(a: Sequence[Sequence[int]]) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
-
-
-def vec_mat(v: Sequence[int], a: Sequence[Sequence[int]]) -> Vector:
-    if len(v) != len(a):
-        raise DimensionMismatchError("vector/matrix sizes differ")
-    cols = len(a[0]) if a else 0
-    return [sum(v[i] * a[i][j] for i in range(len(a))) for j in range(cols)]
-
-
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
     x, nx = 1, 0
@@ -245,8 +234,8 @@ def kernel_basis(a: Sequence[Sequence[int]]) -> list[Vector]:
 def hermite_normal_form(gens: Sequence[Sequence[int]],
                         with_transform: bool = False):
     """Canonical row HNF.  Returns the nonzero rows; optionally also a
-    unimodular transform U (len(gens) x len(gens)) and, per HNF row, the index
-    of the corresponding row of U, so that hnf row i equals U[i] @ gens."""
+    unimodular transform U (len(gens) x len(gens)) such that hnf row i equals
+    U[i] @ gens."""
     m = len(gens)
     n = len(gens[0]) if m else 0
     if any(len(row) != n for row in gens):
@@ -290,14 +279,7 @@ def hermite_normal_form(gens: Sequence[Sequence[int]],
     nonzero = [row[:] for row in h[:pivot_row]]
     if not with_transform:
         return nonzero
-    return nonzero, u, pivot_row
-
-
-def lattice_basis(gens: Sequence[Sequence[int]]) -> list[Vector]:
-    """Canonical basis (HNF rows) of the lattice spanned by the generators."""
-    if not gens:
-        return []
-    return hermite_normal_form(gens)
+    return nonzero, u
 
 
 # ---- solving and membership -------------------------------------------------
@@ -310,7 +292,7 @@ def solve_left(target: Sequence[int], gens: Sequence[Sequence[int]]) -> Vector |
     n = len(gens[0])
     if len(target) != n:
         raise DimensionMismatchError("target length differs from generators")
-    h, u, nrows = hermite_normal_form(gens, with_transform=True)
+    h, u = hermite_normal_form(gens, with_transform=True)
     residue = list(map(int, target))
     coeffs = [0] * len(gens)
     for r, row in enumerate(h):
@@ -412,7 +394,8 @@ def _quotient_invariants(sub_basis: list[Vector],
     coeff_rows = []
     for row in sub_basis:
         x = solve_left(row, big_basis)
-        assert x is not None, "sub lattice not inside big lattice"
+        if x is None:
+            raise ValueError("sub lattice not inside big lattice")
         coeff_rows.append(x)
     free = len(big_basis) - (rank(coeff_rows) if coeff_rows else 0)
     torsion = [d for d in invariant_factors(coeff_rows) if d not in (0, 1)] \
@@ -427,9 +410,9 @@ def submodule_compare(gens_a: Sequence[Sequence[int]],
     lengths = {len(g) for g in gens_a} | {len(g) for g in gens_b}
     if len(lengths) > 1:
         raise DimensionMismatchError("generators of mixed lengths")
-    ha = lattice_basis(gens_a)
-    hb = lattice_basis(gens_b)
-    hab = lattice_basis(gens_a + gens_b)
+    ha = hermite_normal_form(gens_a)
+    hb = hermite_normal_form(gens_b)
+    hab = hermite_normal_form(gens_a + gens_b)
     a_in_b = hab == hb
     b_in_a = hab == ha
     if a_in_b and b_in_a:

@@ -1,11 +1,11 @@
-"""Exact sparse multivariate polynomials over Z, Z/m and Q with weighted grading.
+"""Exact sparse multivariate polynomials over Z and Z/m with weighted grading.
 
 A polynomial is a finite map from exponent vectors to nonzero coefficients,
-kept in canonical form: no zero coefficients are stored, Z/m coefficients are
-canonical residues in [0, m), and rational coefficients are reduced
-fractions.  Iteration, printing and basis enumeration all follow graded-lex
-order (weighted degree first, then lexicographic on exponent vectors, largest
-first), so every rendering of a value is deterministic.
+kept in canonical form: no zero coefficients are stored and Z/m coefficients
+are canonical residues in [0, m).  Iteration, printing and basis enumeration
+all follow graded-lex order (weighted degree first, then lexicographic on
+exponent vectors, largest first), so every rendering of a value is
+deterministic.
 
 The text format used in reports is ``coeff*var^exp`` with explicit ``*`` and
 ``^``, e.g. ``2*x1^3 - 9*x1*x2 + 27*x3``; :func:`parse` inverts
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -36,13 +35,13 @@ class NotHomogeneousError(ValueError):
 
 @dataclass(frozen=True)
 class CoefficientRing:
-    """One of Z, Z/m (m >= 2) or Q; arithmetic is exact and unbounded."""
+    """Z or Z/m (m >= 2); arithmetic is exact and unbounded."""
 
     kind: str
     modulus: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("Z", "Zmod", "Q"):
+        if self.kind not in ("Z", "Zmod"):
             raise ValueError(f"unknown ring kind {self.kind!r}")
         if self.kind == "Zmod":
             if self.modulus is None or self.modulus < 2:
@@ -50,20 +49,10 @@ class CoefficientRing:
         elif self.modulus is not None:
             raise ValueError("modulus only makes sense for Zmod")
 
-    def normalize(self, c):
-        if self.kind == "Z":
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise RingMismatchError(f"{c} is not an integer")
-                return int(c)
-            return int(c)
+    def normalize(self, c) -> int:
         if self.kind == "Zmod":
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise RingMismatchError(f"{c} is not an integer")
-                c = int(c)
             return int(c) % self.modulus
-        return Fraction(c)
+        return int(c)
 
     def __str__(self) -> str:
         if self.kind == "Zmod":
@@ -72,7 +61,6 @@ class CoefficientRing:
 
 
 INTEGERS = CoefficientRing("Z")
-RATIONALS = CoefficientRing("Q")
 
 
 def integers_mod(m: int) -> CoefficientRing:
@@ -240,7 +228,7 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return Polynomial(self.context, self.ring,
                               {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, Polynomial):
@@ -280,12 +268,6 @@ class Polynomial:
         if not self.terms:
             return None
         return max(self.context.weighted_degree(e) for e in self.terms)
-
-    def homogeneous_part(self, d: int) -> "Polynomial":
-        ctx = self.context
-        return Polynomial(ctx, self.ring,
-                          {e: c for e, c in self.terms.items()
-                           if ctx.weighted_degree(e) == d})
 
     def is_homogeneous(self, d: int | None = None) -> bool:
         degrees = {self.context.weighted_degree(e) for e in self.terms}
@@ -377,20 +359,11 @@ class RingMap:
             if img.ring != self.target_ring:
                 raise RingMismatchError("image not over target ring")
 
-    def is_graded(self) -> bool:
-        """True when each image is homogeneous of its variable's weight."""
-        for img, w in zip(self.images, self.source.weights):
-            if img.terms and not img.is_homogeneous(w):
-                return False
-        return True
-
     def _convert_coeff(self, c, source_ring: CoefficientRing):
         if source_ring == self.target_ring:
             return c
         if source_ring.kind == "Z":
             return self.target_ring.normalize(c)
-        if source_ring.kind == "Q" and self.target_ring.kind == "Q":
-            return c
         raise RingMismatchError(
             f"cannot map coefficients from {source_ring} into {self.target_ring}")
 
@@ -410,22 +383,6 @@ class RingMap:
                 term = term * cache[e]
             result = result + term
         return result
-
-
-def substitute(p: Polynomial, m: RingMap) -> Polynomial:
-    return m.apply(p)
-
-
-def identity_map(ctx: VariableContext, ring: CoefficientRing = INTEGERS) -> RingMap:
-    return RingMap(ctx, ctx,
-                   tuple(Polynomial.variable(ctx, n, ring) for n in ctx.names), ring)
-
-
-def reduction_map(ctx: VariableContext, m: int) -> RingMap:
-    """Coefficient reduction Z -> Z/m keeping the variables fixed."""
-    ring = integers_mod(m)
-    return RingMap(ctx, ctx,
-                   tuple(Polynomial.variable(ctx, n, ring) for n in ctx.names), ring)
 
 
 # ---- text format --------------------------------------------------------------
@@ -473,13 +430,11 @@ def parse(text: str, ctx: VariableContext,
             raise PolynomialParseError(f"bad term {body!r} in {text!r}")
         coeff_text = match.group("coeff")
         if coeff_text is None:
-            coeff = Fraction(1)
+            coeff = 1
         elif "/" in coeff_text:
-            if ring.kind != "Q":
-                raise PolynomialParseError(f"fractional coefficient over {ring}")
-            coeff = Fraction(coeff_text)
+            raise PolynomialParseError(f"fractional coefficient over {ring}")
         else:
-            coeff = Fraction(int(coeff_text))
+            coeff = int(coeff_text)
         if sign == "-":
             coeff = -coeff
         exp = [0] * ctx.arity
@@ -495,10 +450,5 @@ def parse(text: str, ctx: VariableContext,
                     raise PolynomialParseError(f"unknown variable {name!r}")
                 exp[ctx.index(name)] += e
         key = tuple(exp)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    if ring.kind != "Q":
-        for key, val in terms.items():
-            if isinstance(val, Fraction) and val.denominator != 1:
-                raise PolynomialParseError(f"non-integral coefficient {val} over {ring}")
-        terms = {k: int(v) for k, v in terms.items()}
+        terms[key] = terms.get(key, 0) + coeff
     return Polynomial(ctx, ring, terms)

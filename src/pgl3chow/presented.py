@@ -116,46 +116,6 @@ def rational_rank_table(pres: RingPresentation,
     return out
 
 
-def reduce_in_quotient(p: Polynomial, variable: str,
-                       rewrite: Polynomial) -> Polynomial:
-    """Normal form of p modulo a monic rewrite rule for one variable.
-
-    ``rewrite`` is a polynomial whose leading term in ``variable`` is
-    ``variable**k`` with coefficient one; occurrences of ``variable**k`` in p
-    are replaced by ``variable**k - rewrite`` until the degree in ``variable``
-    drops below k.
-    """
-    ctx = p.context
-    if rewrite.context != ctx or rewrite.ring != p.ring:
-        raise ValueError("rewrite rule must share context and ring with p")
-    idx = ctx.index(variable)
-    k = max((e[idx] for e in rewrite.terms), default=0)
-    if k == 0:
-        raise ValueError("rewrite rule does not involve the variable")
-    lead_exp = [0] * ctx.arity
-    lead_exp[idx] = k
-    if rewrite.terms.get(tuple(lead_exp)) != p.ring.normalize(1):
-        raise ValueError("rewrite rule is not monic in the variable")
-    replacement = Polynomial(ctx, p.ring, {tuple(lead_exp): 1}) - rewrite
-
-    result = p
-    while True:
-        top = max((e[idx] for e in result.terms), default=0)
-        if top < k:
-            return result
-        keep: dict = {}
-        quotient: dict = {}
-        for e, c in result.terms.items():
-            if e[idx] >= k:
-                reduced = list(e)
-                reduced[idx] -= k
-                quotient[tuple(reduced)] = c
-            else:
-                keep[e] = c
-        result = (Polynomial(ctx, p.ring, keep)
-                  + Polynomial(ctx, p.ring, quotient) * replacement)
-
-
 def rstar_presentation() -> RingPresentation:
     """The candidate Chow ring of the PGL3 classifying stack: generators
     lam, c3, rho, chi, c6, c8 of degrees 2,3,4,6,6,8 with the 3-torsion

@@ -108,8 +108,8 @@ class VirtualRep:
 # ---- constructors ----------------------------------------------------------
 
 
-def trivial(lattice: Lattice, copies: int = 1) -> VirtualRep:
-    return VirtualRep.from_weights(lattice, [((0,) * lattice.rank, copies)])
+def trivial(lattice: Lattice) -> VirtualRep:
+    return VirtualRep.from_weights(lattice, [((0,) * lattice.rank, 1)])
 
 
 def dual(r: VirtualRep) -> VirtualRep:
@@ -154,14 +154,6 @@ def sym_power(r: VirtualRep, k: int) -> VirtualRep:
     return VirtualRep.from_weights(r.lattice, items)
 
 
-def exterior_power(r: VirtualRep, k: int) -> VirtualRep:
-    ws = r.weight_list()
-    items = []
-    for combo in itertools.combinations(ws, k):
-        items.append(tuple(sum(cs) for cs in zip(*combo)) if combo else (0,) * r.lattice.rank)
-    return VirtualRep.from_weights(r.lattice, items)
-
-
 def twist(r: VirtualRep, w: Sequence[int]) -> VirtualRep:
     shift = r.lattice.normalize_weight(w)
     return VirtualRep.from_weights(
@@ -190,10 +182,6 @@ def chern_class(r: VirtualRep, i: int) -> Polynomial:
         for k in range(i, 0, -1):
             e[k] = e[k] + e[k - 1] * form
     return e[i]
-
-
-def total_chern_classes(r: VirtualRep) -> list[Polynomial]:
-    return [chern_class(r, i) for i in range(r.dimension + 1)]
 
 
 # ---- lattice maps -----------------------------------------------------------
@@ -239,14 +227,6 @@ def restrict_rep(r: VirtualRep, m: LatticeMap) -> VirtualRep:
 
 def restrict_poly(p: Polynomial, m: LatticeMap) -> Polynomial:
     return m.ring_map().apply(p)
-
-
-def restrict(value, m: LatticeMap):
-    if isinstance(value, VirtualRep):
-        return restrict_rep(value, m)
-    if isinstance(value, Polynomial):
-        return restrict_poly(value, m)
-    raise TypeError("restrict expects a VirtualRep or Polynomial")
 
 
 # ---- expressing classes in named generators ----------------------------------
@@ -328,15 +308,6 @@ def express_in(target: Polynomial, gens: Mapping[str, Polynomial]) -> ExpressRes
     return ExpressResult(True, expression, None)
 
 
-def expand_expression(expression: Polynomial, gens: Mapping[str, Polynomial],
-                      target_ctx: VariableContext,
-                      ring: CoefficientRing) -> Polynomial:
-    """Re-expand an express_in certificate back into the target context."""
-    images = tuple(gens[name] for name in expression.context.names)
-    rm = RingMap(expression.context, target_ctx, images, ring)
-    return rm.apply(expression)
-
-
 # ---- built-in catalog ---------------------------------------------------------
 
 T_GL3 = Lattice("T_GL3", context(("x1", "x2", "x3")), INTEGERS)
@@ -344,27 +315,12 @@ T_PGL3_XY = Lattice("T_PGL3_xy", context(("x", "y")), INTEGERS)
 T_SL3_U = Lattice("T_SL3_u", context(("u1", "u2")), INTEGERS)
 A3MU3_AB = Lattice("A3mu3_ab", context(("a", "b")), integers_mod(3))
 
-LATTICES: dict[str, Lattice] = {
-    lat.name: lat for lat in (T_GL3, T_PGL3_XY, T_SL3_U, A3MU3_AB)
-}
-
 # x1 -> x, x2 -> y, x3 -> 0: inverse of the embedding x = x1 - x3, y = x2 - x3;
 # canonical on translation-invariant polynomials.
 TO_XY = LatticeMap("to_xy", T_GL3, T_PGL3_XY, ((1, 0, 0), (0, 1, 0)))
 
 # Restriction along the inclusion of the SL3 torus: x3 = -x1 - x2.
 TO_SL3 = LatticeMap("to_SL3", T_GL3, T_SL3_U, ((1, 0, -1), (0, 1, -1)))
-
-# Restriction to the finite subgroup A3 x mu3 inside A3 x T_SL3: the torus
-# characters u1, u2, u3 restrict to b+a, b-a, b.
-TO_A3MU3 = LatticeMap("to_A3mu3", T_SL3_U, A3MU3_AB, ((1, -1), (1, 1)))
-
-# Identity on the mod-3 lattice; composing through it reduces coefficients.
-MOD3 = LatticeMap("mod3", A3MU3_AB, A3MU3_AB, ((1, 0), (0, 1)))
-
-MAPS: dict[str, LatticeMap] = {
-    m.name: m for m in (TO_XY, TO_SL3, TO_A3MU3, MOD3)
-}
 
 # The embedding of SL3-torus characters into GL3-torus characters induced by
 # [t1,t2,t3] -> (t2/t3, t3/t1, t1/t2); one column per u-variable.  Transporting
@@ -404,17 +360,3 @@ def standard(name: str) -> VirtualRep:
         return REPRESENTATIONS[name]
     except KeyError:
         raise KeyError(f"no catalogued representation {name!r}") from None
-
-
-def lattice(name: str) -> Lattice:
-    try:
-        return LATTICES[name]
-    except KeyError:
-        raise KeyError(f"no catalogued lattice {name!r}") from None
-
-
-def lattice_map(name: str) -> LatticeMap:
-    try:
-        return MAPS[name]
-    except KeyError:
-        raise KeyError(f"no catalogued lattice map {name!r}") from None

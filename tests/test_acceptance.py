@@ -298,7 +298,7 @@ def test_criterion_11_property_suites():
         a = _random_matrix(rng)
         kernel = la.kernel_basis(a)
         for v in kernel:
-            assert all(x == 0 for x in la.mat_vec(a, v))
+            assert all(x == 0 for (x,) in la.matmul(a, [[c] for c in v]))
         assert len(kernel) == len(a[0]) - la.rank(a)
         if kernel:
             assert all(d == 1 for d in la.invariant_factors(kernel))

@@ -142,44 +142,36 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="unknown options key"):
             parse_config("[options]\ncolour = green\n")
 
-    def test_unknown_section_rejected(self):
-        with pytest.raises(ConfigError, match="unknown section kind"):
-            parse_config("[widgets w]\n")
+    def test_unknown_section_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "section.cfg"
+        for text in (
+            "[widgets w]\n",
+            "[group swap]\ncontext = x y\nelement e = 1 0 / 0 1\n",
+            "[constraint shift]\ncontext = x1 x2 x3\nshift = 1 1 1\n",
+            "[rep pair]\nlattice = T_SL3_u\nweight = 1 0\n",
+        ):
+            with pytest.raises(ConfigError, match="unknown section kind"):
+                parse_config(text)
+            cfg.write_text(text)
+            code, _, err = run_cli(capsys, "--config", str(cfg), "list")
+            assert code == 2
+            assert "unknown section kind" in err
+            code, _, err = run_cli(capsys, "hilbert", "--spec", str(cfg),
+                                   "--max-degree", "2")
+            assert code == 2
+            assert "unknown section kind" in err
 
-    def test_group_section_closure_validated(self):
-        good = parse_config(
-            "[group swap]\n"
-            "context = x y\n"
-            "element e = 1 0 / 0 1\n"
-            "element s = 0 1 / 1 0\n")
-        assert good.groups["swap"].closure_check().order == 2
-        with pytest.raises(ConfigError, match="closure"):
-            parse_config(
-                "[group shear]\n"
-                "context = x y\n"
-                "element e = 1 0 / 0 1\n"
-                "element m = 1 1 / 0 1\n")
-
-    def test_rep_section(self):
-        cfg = parse_config(
-            "[rep pair]\n"
-            "lattice = T_SL3_u\n"
-            "weight = 1 0\n"
-            "weight = 0 1 * 2\n")
-        rep = cfg.representations["pair"]
-        assert rep.dimension == 3
-        assert rep.multiplicity((0, 1)) == 2
-
-    def test_rep_unknown_lattice_rejected(self):
-        with pytest.raises(ConfigError, match="unknown lattice"):
-            parse_config("[rep r]\nlattice = nowhere\nweight = 1\n")
-
-    def test_constraint_section(self):
-        cfg = parse_config(
-            "[constraint shift]\n"
-            "context = x1 x2 x3\n"
-            "shift = 1 1 1\n")
-        assert cfg.constraints["shift"].constraint.direction == (1, 1, 1)
+    def test_unknown_override_name_exits_2_for_both_selections(self, capsys,
+                                                               tmp_path):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("[options]\nmax-degree gamma-generatoin = 4\n")
+        for selection in (["--all"], ["--name", "point-class"]):
+            code, out, err = run_cli(capsys, "--config", str(cfg),
+                                     "check", *selection)
+            assert code == 2
+            assert out == ""
+            assert err == ("error: unknown check 'gamma-generatoin'; "
+                           "run 'pgl3chow list'\n")
 
     def test_bad_config_path_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "--config", str(tmp_path / "absent.cfg"),

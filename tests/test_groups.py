@@ -29,27 +29,27 @@ class TestClosure:
 
     def test_trivial_group(self):
         ctx = context(("x", "y"))
-        group = MatrixGroup.from_dict(ctx, {"e": [[1, 0], [0, 1]]})
+        group = MatrixGroup(ctx, (("e", ((1, 0), (0, 1))),))
         report = group.closure_check()
         assert report.ok and report.order == 1
 
     def test_constructed_violation(self):
         ctx = context(("x", "y"))
         # The shear has infinite order, so {e, M} cannot be closed.
-        group = MatrixGroup.from_dict(ctx, {
-            "e": [[1, 0], [0, 1]],
-            "m": [[1, 1], [0, 1]],
-        })
+        group = MatrixGroup(ctx, (
+            ("e", ((1, 0), (0, 1))),
+            ("m", ((1, 1), (0, 1))),
+        ))
         report = group.closure_check()
         assert not report.ok
         assert any("escapes" in v for v in report.violations)
 
     def test_non_invertible_detected(self):
         ctx = context(("x", "y"))
-        group = MatrixGroup.from_dict(ctx, {
-            "e": [[1, 0], [0, 1]],
-            "m": [[2, 0], [0, 1]],
-        })
+        group = MatrixGroup(ctx, (
+            ("e", ((1, 0), (0, 1))),
+            ("m", ((2, 0), (0, 1))),
+        ))
         report = group.closure_check()
         assert not report.ok
         assert any("determinant" in v for v in report.violations)

@@ -40,21 +40,21 @@ class TestKernel:
     def test_sum_vector(self):
         kernel = la.kernel_basis([[1, 1, 1]])
         assert len(kernel) == 2
-        expected = la.lattice_basis([[1, -1, 0], [0, 1, -1]])
-        assert la.lattice_basis(kernel) == expected
+        expected = la.hermite_normal_form([[1, -1, 0], [0, 1, -1]])
+        assert la.hermite_normal_form(kernel) == expected
 
     def test_identity_has_trivial_kernel(self):
         assert la.kernel_basis(la.identity(3)) == []
 
     def test_saturation(self):
         kernel = la.kernel_basis([[2, -2]])
-        assert la.lattice_basis(kernel) == [[1, 1]]
+        assert la.hermite_normal_form(kernel) == [[1, 1]]
         assert la.invariant_factors(kernel) == (1,)
 
     def test_kernel_vectors_annihilate(self):
         a = [[3, 1, -2, 0], [1, 0, 4, 2]]
         for v in la.kernel_basis(a):
-            assert la.mat_vec(a, v) == [0, 0]
+            assert la.matmul(a, [[c] for c in v]) == [[0], [0]]
 
 
 class TestCompare:
@@ -86,6 +86,10 @@ class TestCompare:
     def test_dimension_mismatch(self):
         with pytest.raises(la.DimensionMismatchError):
             la.submodule_compare([[1, 0]], [[1, 0, 0]])
+
+    def test_quotient_of_non_sublattice_rejected(self):
+        with pytest.raises(ValueError, match="not inside"):
+            la._quotient_invariants([[1, 0]], [[2, 0]])
 
 
 class TestMembership:

@@ -1,14 +1,13 @@
-"""Graded components of presented rings and the monic rewrite reduction."""
+"""Graded components and rational ranks of presented rings."""
 
 import pytest
 
-from pgl3chow.poly import INTEGERS, NotHomogeneousError, Polynomial, context, parse
+from pgl3chow.poly import NotHomogeneousError, Polynomial, context
 from pgl3chow.presented import (
     GradedComponent,
     RingPresentation,
     graded_component,
     rational_rank_table,
-    reduce_in_quotient,
     rstar_presentation,
 )
 
@@ -65,31 +64,6 @@ class TestRationalRanks:
 
 
 class TestReduceInQuotient:
-    CTX = context(("l", "c2", "c3"), (1, 2, 3))
-
-    def rewrite(self):
-        return parse("l^3 + c2*l + c3", self.CTX, INTEGERS)
-
-    def test_cube_reduces(self):
-        l_cubed = parse("l^3", self.CTX, INTEGERS)
-        assert reduce_in_quotient(l_cubed, "l", self.rewrite()) == \
-            parse("-c2*l - c3", self.CTX, INTEGERS)
-
-    def test_fourth_power_reduces(self):
-        l4 = parse("l^4", self.CTX, INTEGERS)
-        assert reduce_in_quotient(l4, "l", self.rewrite()) == \
-            parse("-c2*l^2 - c3*l", self.CTX, INTEGERS)
-
-    def test_reduction_is_multiplicative(self):
-        p = parse("l^2 + c2", self.CTX, INTEGERS)
-        q = parse("l^2 - l", self.CTX, INTEGERS)
-        rewrite = self.rewrite()
-        direct = reduce_in_quotient(p * q, "l", rewrite)
-        stepwise = reduce_in_quotient(
-            reduce_in_quotient(p, "l", rewrite)
-            * reduce_in_quotient(q, "l", rewrite), "l", rewrite)
-        assert direct == stepwise
-
     def test_point_class_identity_needs_no_rewrite(self):
         ctx = context(("l", "u1", "u2"))
         l = Polynomial.variable(ctx, "l")
@@ -97,13 +71,3 @@ class TestReduceInQuotient:
         u2 = Polynomial.variable(ctx, "u2")
         u3 = -u1 - u2
         assert (l - u2) * (l - u3) == l ** 2 + l * u1 + u2 * u3
-
-    def test_non_monic_rejected(self):
-        bad = parse("2*l^3 + c3", self.CTX, INTEGERS)
-        with pytest.raises(ValueError):
-            reduce_in_quotient(parse("l^3", self.CTX, INTEGERS), "l", bad)
-
-    def test_rewrite_must_involve_variable(self):
-        constant = parse("c2", self.CTX, INTEGERS)
-        with pytest.raises(ValueError):
-            reduce_in_quotient(parse("l", self.CTX, INTEGERS), "l", constant)
