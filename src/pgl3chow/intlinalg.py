@@ -2,13 +2,16 @@
 
 Everything here works on row-major ``list[list[int]]`` matrices with plain
 Python integers, so intermediate values never overflow.  Smith normal form
-pivots on the minimal nonzero entry; Hermite normal form is the canonical
-row-echelon form (positive pivots, entries above a pivot reduced into
-``[0, pivot)``), which makes lattice equality a plain list comparison.
+pivots on the minimal nonzero entry, taking the first unit it meets;
+:func:`kernel_basis` runs the same elimination without the left transform.
+Hermite normal form is the canonical row-echelon form (positive pivots,
+entries above a pivot reduced into ``[0, pivot)``), which makes lattice
+equality a plain list comparison.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -97,89 +100,106 @@ def _swap_rows(m: Matrix, i: int, j: int) -> None:
     m[i], m[j] = m[j], m[i]
 
 
-def _swap_cols(m: Matrix, i: int, j: int) -> None:
-    for row in m:
-        row[i], row[j] = row[j], row[i]
+def _smith_reduce(a: Sequence[Sequence[int]], with_left: bool
+                  ) -> tuple[tuple[int, ...], Matrix | None, Matrix]:
+    """Diagonalize a copy of ``a``; return ``(diag, left, right_t)``.
 
+    The one elimination loop behind :func:`smith_normal_form` and
+    :func:`kernel_basis`.  ``right_t`` holds the columns of the right
+    transform as rows, so each column operation is a row operation on it.
+    ``left`` is built only when ``with_left`` is set, and is None otherwise.
 
-def _add_row(m: Matrix, dst: int, src: int, q: int) -> None:
-    if q:
-        row_s = m[src]
-        row_d = m[dst]
-        for j in range(len(row_d)):
-            row_d[j] += q * row_s[j]
-
-
-def _add_col(m: Matrix, dst: int, src: int, q: int) -> None:
-    if q:
-        for row in m:
-            row[dst] += q * row[src]
-
-
-def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
+    Once pivot ``t`` is done, row ``t`` and column ``t`` are zero off the
+    diagonal, so later row operations on ``d`` touch only columns ``>= t``
+    and later column operations only rows ``>= t``.
+    """
     rows = len(a)
     cols = len(a[0]) if a else 0
     d = [list(map(int, row)) for row in a]
     if any(len(row) != cols for row in d):
         raise DimensionMismatchError("ragged matrix")
-    left = identity(rows)
-    right = identity(cols)
+    left = identity(rows) if with_left else None
+    right_t = identity(cols)
     k = min(rows, cols)
     t = 0
     while t < k:
-        # Locate the entry of minimal nonzero magnitude in the trailing block.
-        pivot = None
+        # Entry of minimal nonzero magnitude in the trailing block, the first
+        # in row-major order on ties.  Nothing beats a unit, so the search
+        # stops at the first one: the pivot a full scan would pick.
+        best = 0
         for i in range(t, rows):
+            row = d[i]
             for j in range(t, cols):
-                if d[i][j] != 0 and (pivot is None
-                                     or abs(d[i][j]) < abs(d[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+                x = row[j]
+                if x and (best == 0 or abs(x) < best):
+                    best, pi, pj = abs(x), i, j
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if best == 0:
             break
-        if pivot[0] != t:
-            _swap_rows(d, t, pivot[0])
-            _swap_rows(left, t, pivot[0])
-        if pivot[1] != t:
-            _swap_cols(d, t, pivot[1])
-            _swap_cols(right, t, pivot[1])
+        if pi != t:
+            _swap_rows(d, t, pi)
+            if left is not None:
+                _swap_rows(left, t, pi)
+        if pj != t:
+            for row in d[t:]:
+                row[t], row[pj] = row[pj], row[t]
+            _swap_rows(right_t, t, pj)
+        top = d[t]
+        p = top[t]
         dirty = False
         for i in range(t + 1, rows):
-            if d[i][t]:
-                q = d[i][t] // d[t][t]
-                _add_row(d, i, t, -q)
-                _add_row(left, i, t, -q)
-                if d[i][t]:
+            row = d[i]
+            if row[t]:
+                q = row[t] // p
+                for j in range(t, cols):
+                    row[j] -= q * top[j]
+                if left is not None:
+                    left[i] = [x - q * y for x, y in zip(left[i], left[t])]
+                if row[t]:
                     dirty = True
         for j in range(t + 1, cols):
-            if d[t][j]:
-                q = d[t][j] // d[t][t]
-                _add_col(d, j, t, -q)
-                _add_col(right, j, t, -q)
-                if d[t][j]:
+            if top[j]:
+                q = top[j] // p
+                for row in d[t:]:
+                    row[j] -= q * row[t]
+                right_t[j] = [x - q * y for x, y in zip(right_t[j], right_t[t])]
+                if top[j]:
                     dirty = True
         if dirty:
             continue
-        # Pivot must divide the whole trailing block for the invariant chain.
-        fix = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if d[i][j] % d[t][t] != 0:
-                    fix = i
+        if best != 1:
+            # The pivot must divide the whole trailing block for the
+            # invariant chain; a unit always does.
+            fix = None
+            for i in range(t + 1, rows):
+                row = d[i]
+                for j in range(t + 1, cols):
+                    if row[j] % p != 0:
+                        fix = i
+                        break
+                if fix is not None:
                     break
             if fix is not None:
-                break
-        if fix is not None:
-            _add_row(d, t, fix, 1)
-            _add_row(left, t, fix, 1)
-            continue
-        if d[t][t] < 0:
-            for j in range(cols):
-                d[t][j] = -d[t][j]
-            for j in range(rows):
-                left[t][j] = -left[t][j]
+                row = d[fix]
+                for j in range(t, cols):
+                    top[j] += row[j]
+                if left is not None:
+                    left[t] = [x + y for x, y in zip(left[t], left[fix])]
+                continue
+        if p < 0:
+            top[t] = -p
+            if left is not None:
+                left[t] = [-x for x in left[t]]
         t += 1
-    diag = tuple(d[i][i] for i in range(k))
-    return SmithForm(diag, left, right)
+    return tuple(d[i][i] for i in range(k)), left, right_t
+
+
+def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
+    diag, left, right_t = _smith_reduce(a, with_left=True)
+    return SmithForm(diag, left, transpose(right_t))
 
 
 def invariant_factors(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -191,7 +211,8 @@ def rank(a: Sequence[Sequence[int]]) -> int:
 
 
 def rank_over_q(a: Sequence[Sequence[int]]) -> int:
-    """Row rank by fraction-free Gaussian elimination; independent of SNF."""
+    """Row rank by Gauss-Jordan elimination over ``Fraction``; independent of
+    SNF, and the cross-check of the Smith-form rank."""
     m = [[Fraction(x) for x in row] for row in a]
     rows = len(m)
     cols = len(m[0]) if m else 0
@@ -218,14 +239,22 @@ def rank_over_q(a: Sequence[Sequence[int]]) -> int:
 
 
 def kernel_basis(a: Sequence[Sequence[int]]) -> list[Vector]:
-    """Basis of {v : A v = 0}; the spanned lattice is saturated."""
+    """Basis of {v : A v = 0}; the spanned lattice is saturated.
+
+    The basis is the columns of the Smith right transform beyond the rank.
+    Each vector is certified by ``A v == 0`` before it is returned.
+    """
     rows = len(a)
     cols = len(a[0]) if a else 0
     if rows == 0:
         return [row[:] for row in identity(cols)]
-    form = smith_normal_form(a)
-    r = sum(1 for x in form.diag if x != 0)
-    return [[form.right[i][j] for i in range(cols)] for j in range(r, cols)]
+    diag, _, right_t = _smith_reduce(a, with_left=False)
+    kernel = right_t[sum(1 for x in diag if x):]
+    for row in a:
+        for v in kernel:
+            if sum(map(operator.mul, row, v)):
+                raise ArithmeticError("kernel vector not annihilated by the matrix")
+    return kernel
 
 
 # ---- Hermite normal form ---------------------------------------------------

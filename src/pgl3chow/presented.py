@@ -105,8 +105,9 @@ def rational_rank_table(pres: RingPresentation,
                         d_max: int) -> list[tuple[int, int]]:
     """Rank of each graded piece after tensoring with Q.
 
-    Computed by fraction-free Gaussian elimination, deliberately independent
-    of the Smith normal form route used by :func:`graded_component`.
+    Computed by Gauss-Jordan elimination over ``Fraction``, deliberately
+    independent of the Smith normal form route used by
+    :func:`graded_component`.
     """
     out = []
     for d in range(d_max + 1):

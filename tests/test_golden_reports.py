@@ -1,0 +1,35 @@
+"""Report bytes pinned against files in tests/data.
+
+``check_all.json`` is the output of ``check --all --format json`` with each
+result's ``elapsed_ms`` key removed, the one field that varies between runs;
+``hilbert_rstar_20.txt`` is ``hilbert --spec builtin:Rstar --max-degree 20``.
+A change to the arithmetic that alters a verdict, a witness or the layout of
+a report shows up here as a byte difference.
+"""
+
+import re
+from pathlib import Path
+
+from pgl3chow import cli
+
+DATA = Path(__file__).resolve().parent / "data"
+ELAPSED = re.compile(r',\n\s*"elapsed_ms": [-0-9.eE+]+')
+
+
+def run_cli(capsys, *argv):
+    code = cli.main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def test_check_all_json_bytes(capsys):
+    code, out = run_cli(capsys, "check", "--all", "--format", "json")
+    assert code == 1  # hsurj-restrictions fails by design
+    expected = (DATA / "check_all.json").read_text(encoding="utf-8")
+    assert ELAPSED.sub("", out) == expected
+
+
+def test_hilbert_rstar_bytes(capsys):
+    code, out = run_cli(capsys, "hilbert", "--spec", "builtin:Rstar",
+                        "--max-degree", "20")
+    assert code == 0
+    assert out == (DATA / "hilbert_rstar_20.txt").read_text(encoding="utf-8")

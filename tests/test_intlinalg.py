@@ -35,6 +35,24 @@ class TestSmith:
         form = la.smith_normal_form([[6, 0], [0, 4]])
         assert form.diag == (2, 12)
 
+    def test_golden_transforms(self):
+        # The first unit (row 1, column 2) comes after larger entries in
+        # row-major order; diag and both transforms are pinned, not only
+        # their certifying identity.
+        a = [[6, 4, 10, 8], [4, -3, 1, 2], [8, 6, 14, 12], [2, 4, 2, 4],
+             [9, 3, 15, 6]]
+        form = la.smith_normal_form(a)
+        assert form.diag == (1, 1, 2, 4)
+        assert form.left == [[0, 1, 0, 0, 0],
+                             [0, -37, 0, 26, -1],
+                             [-11, -32086, 0, 22548, -860],
+                             [49, -824, -28, 573, -28],
+                             [-132, 6, 75, 12, 16]]
+        assert form.right == [[0, 107, 52, -4080],
+                              [0, 53, 27, -2118],
+                              [1, -269, -105, 8248],
+                              [0, 0, -11, 859]]
+
 
 class TestKernel:
     def test_sum_vector(self):
@@ -55,6 +73,18 @@ class TestKernel:
         a = [[3, 1, -2, 0], [1, 0, 4, 2]]
         for v in la.kernel_basis(a):
             assert la.matmul(a, [[c] for c in v]) == [[0], [0]]
+
+    def test_certificate_failure_raises(self, monkeypatch):
+        reduce = la._smith_reduce
+
+        def corrupted(a, with_left):
+            diag, left, right_t = reduce(a, with_left)
+            right_t[-1] = [1] + [0] * (len(right_t) - 1)
+            return diag, left, right_t
+
+        monkeypatch.setattr(la, "_smith_reduce", corrupted)
+        with pytest.raises(ArithmeticError):
+            la.kernel_basis([[1, 1, 1]])
 
 
 class TestCompare:

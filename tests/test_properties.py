@@ -72,6 +72,13 @@ class TestSubstituteHomomorphism:
         assert rm.apply(p + q) == rm.apply(p) + rm.apply(q)
 
 
+def _label_of_product(group, la_, lb):
+    """Label of the element whose matrix is matrix(la_) @ matrix(lb)."""
+    prod = la.matmul(group.matrix(la_), group.matrix(lb))
+    return next(label for label, m in group.elements
+                if [list(r) for r in m] == prod)
+
+
 class TestGroupActionLaws:
     @LAW_SETTINGS
     @given(st.sampled_from(range(6)), st.sampled_from(range(6)),
@@ -80,10 +87,9 @@ class TestGroupActionLaws:
         group = s3_on_x()
         labels = group.labels()
         la_, lb = labels[i], labels[j]
-        prod = la.matmul([list(r) for r in group.matrix(la_)],
-                         [list(r) for r in group.matrix(lb)])
+        prod = _label_of_product(group, la_, lb)
         composed = group.act(la_, group.act(lb, p))
-        assert group.act_matrix(prod, p) == composed
+        assert group.act(prod, p) == composed
 
     @LAW_SETTINGS
     @given(st.sampled_from(range(6)), st.sampled_from(range(6)),
@@ -93,10 +99,9 @@ class TestGroupActionLaws:
         p = Polynomial(group.ctx, INTEGERS, dict(p.terms))
         labels = group.labels()
         la_, lb = labels[i], labels[j]
-        prod = la.matmul([list(r) for r in group.matrix(la_)],
-                         [list(r) for r in group.matrix(lb)])
+        prod = _label_of_product(group, la_, lb)
         composed = group.act(la_, group.act(lb, p))
-        assert group.act_matrix(prod, p) == composed
+        assert group.act(prod, p) == composed
 
 
 class TestChernLaws:
@@ -150,6 +155,14 @@ class TestNormalFormLaws:
         assert len(kernel) == len(a[0]) - la.rank(a)
         if kernel:
             assert all(d == 1 for d in la.invariant_factors(kernel))
+
+    @LAW_SETTINGS
+    @given(int_matrices())
+    def test_kernel_is_smith_right_columns_beyond_rank(self, a):
+        form = la.smith_normal_form(a)
+        r = sum(1 for d in form.diag if d)
+        columns = [list(col) for col in zip(*form.right)]
+        assert la.kernel_basis(a) == columns[r:]
 
     @LAW_SETTINGS
     @given(int_matrices())
