@@ -4,6 +4,11 @@ Everything here works on row-major ``list[list[int]]`` matrices with plain
 Python integers, so intermediate values never overflow.  Smith normal form
 pivots on the minimal nonzero entry, taking the first unit it meets;
 :func:`kernel_basis` runs the same elimination without the left transform.
+:func:`invariant_factors` builds no transforms: on sparse rows it eliminates
+±1 pivots, deleting each pivot's row and column, and divides the remainder
+by its content whenever no unit is left (SNF(g·B) = g·SNF(B)); only a
+remainder of content 1 without a unit goes through the dense Smith form.
+:func:`rank_over_q` is the independent cross-check of the Smith-form rank.
 Hermite normal form is the canonical row-echelon form (positive pivots,
 entries above a pivot reduced into ``[0, pivot)``), which makes lattice
 equality a plain list comparison.
@@ -11,6 +16,7 @@ equality a plain list comparison.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -203,39 +209,125 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
 
 
 def invariant_factors(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    return smith_normal_form(a).diag
+    """Smith invariant factors of ``a``: the divisibility chain, then zeros,
+    ``min(rows, cols)`` entries in all, equal to ``smith_normal_form(a).diag``.
+
+    Rows are kept as sparse ``{col: value}`` dicts.  A pivot of value ±1 is
+    eliminated with its row and column deleted, and contributes one factor
+    equal to the current scale.  When no unit is left, the remainder is
+    divided by its content ``g > 1`` and the scale multiplied by ``g``, which
+    is exact because SNF(g·B) = g·SNF(B).  Only a remainder of content 1
+    without a unit goes to the dense :func:`smith_normal_form`.
+    """
+    cols = len(a[0]) if a else 0
+    if any(len(row) != cols for row in a):
+        raise DimensionMismatchError("ragged matrix")
+    live: dict[int, dict[int, int]] = {}
+    where: dict[int, set[int]] = {}  # column -> live rows nonzero there
+    for i, row in enumerate(a):
+        entries = {j: int(x) for j, x in enumerate(row) if x}
+        if entries:
+            live[i] = entries
+            for j in entries:
+                where.setdefault(j, set()).add(i)
+    factors: list[int] = []
+    scale = 1
+    while live:
+        found = _unit_pivots(live, where)
+        factors.extend([scale] * found)
+        if found:
+            continue
+        g = 0
+        for entries in live.values():
+            g = math.gcd(g, *entries.values())
+        if g == 1:
+            break
+        for entries in live.values():
+            for j in entries:
+                entries[j] //= g
+        scale *= g
+    if live:
+        rest = sorted(where)
+        dense = [[entries.get(j, 0) for j in rest] for entries in live.values()]
+        factors.extend(scale * x for x in smith_normal_form(dense).diag if x)
+    return tuple(factors) + (0,) * (min(len(a), cols) - len(factors))
 
 
-def rank(a: Sequence[Sequence[int]]) -> int:
-    return sum(1 for x in smith_normal_form(a).diag if x != 0)
+def _unit_pivots(live: dict[int, dict[int, int]],
+                 where: dict[int, set[int]]) -> int:
+    """One sweep over the rows, eliminating on ±1 entries; return how many.
+
+    Each pivot row and column is deleted from ``live`` and ``where``.  Row
+    ``k`` loses ``q`` times the pivot row, where ``q`` clears its entry in the
+    pivot column; that column is then zero off the pivot, so the column
+    operations that clear the rest of the pivot row touch nothing else.  Of a
+    row's units the one in the sparsest column is taken, to limit fill-in.
+    """
+    count = 0
+    for i in list(live):
+        prow = live.get(i)
+        if prow is None:
+            continue
+        units = [j for j, x in prow.items() if x == 1 or x == -1]
+        if not units:
+            continue
+        j = min(units, key=lambda c: len(where[c]))
+        u = prow.pop(j)
+        del live[i]
+        for c in prow:
+            where[c].discard(i)
+        targets = where.pop(j)
+        targets.discard(i)
+        for k in targets:
+            row = live[k]
+            q = row.pop(j) * u
+            for c, x in prow.items():
+                v = row.get(c, 0) - q * x
+                if v:
+                    if c not in row:
+                        where[c].add(k)
+                    row[c] = v
+                elif c in row:
+                    del row[c]
+                    where[c].discard(k)
+            if not row:
+                del live[k]
+        for c in prow:
+            if not where[c]:
+                del where[c]
+        count += 1
+    return count
 
 
 def rank_over_q(a: Sequence[Sequence[int]]) -> int:
-    """Row rank by Gauss-Jordan elimination over ``Fraction``; independent of
-    SNF, and the cross-check of the Smith-form rank."""
-    m = [[Fraction(x) for x in row] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if m else 0
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if m[i][c]:
-                pivot_row = i
+    """Row rank over Q; the cross-check of the Smith-form rank.
+
+    Fraction-free integer forward elimination, independent of the Smith
+    code: each row is reduced against an echelon basis keyed by leading
+    column, divided by its content after each step, and joins the basis when
+    its leading column is new.  There is no back-substitution.
+    """
+    echelon: dict[int, dict[int, int]] = {}
+    for row in a:
+        entries = {j: int(x) for j, x in enumerate(row) if x}
+        while entries:
+            lead = min(entries)
+            base = echelon.get(lead)
+            if base is None:
+                echelon[lead] = entries
                 break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+            g = math.gcd(base[lead], entries[lead])
+            p, x = base[lead] // g, entries[lead] // g
+            reduced = {j: p * v for j, v in entries.items()}
+            for j, v in base.items():
+                w = reduced.get(j, 0) - x * v
+                if w:
+                    reduced[j] = w
+                else:
+                    del reduced[j]
+            content = math.gcd(*reduced.values()) if reduced else 1
+            entries = {j: v // content for j, v in reduced.items()}
+    return len(echelon)
 
 
 def kernel_basis(a: Sequence[Sequence[int]]) -> list[Vector]:
@@ -426,10 +518,9 @@ def _quotient_invariants(sub_basis: list[Vector],
         if x is None:
             raise ValueError("sub lattice not inside big lattice")
         coeff_rows.append(x)
-    free = len(big_basis) - (rank(coeff_rows) if coeff_rows else 0)
-    torsion = [d for d in invariant_factors(coeff_rows) if d not in (0, 1)] \
-        if coeff_rows else []
-    return tuple(torsion + [0] * free)
+    nonzero = [d for d in invariant_factors(coeff_rows) if d]
+    torsion = [d for d in nonzero if d != 1]
+    return tuple(torsion + [0] * (len(big_basis) - len(nonzero)))
 
 
 def submodule_compare(gens_a: Sequence[Sequence[int]],

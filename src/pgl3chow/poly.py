@@ -14,6 +14,7 @@ The text format used in reports is ``coeff*var^exp`` with explicit ``*`` and
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -98,23 +99,12 @@ class VariableContext:
     def weighted_degree(self, exponent: Exponent) -> int:
         return sum(e * w for e, w in zip(exponent, self.weights))
 
-    def monomials_of_degree(self, d: int) -> list[Exponent]:
-        """All exponent vectors of weighted degree d, graded-lex (largest first)."""
-        if d < 0:
-            return []
-        out: list[Exponent] = []
+    def monomials_of_degree(self, d: int) -> tuple[Exponent, ...]:
+        """All exponent vectors of weighted degree d, graded-lex (largest first).
 
-        def rec(i: int, remaining: int, prefix: tuple[int, ...]) -> None:
-            if i == self.arity:
-                if remaining == 0:
-                    out.append(prefix)
-                return
-            w = self.weights[i]
-            for e in range(remaining // w, -1, -1):
-                rec(i + 1, remaining - e * w, prefix + (e,))
-
-        rec(0, d, ())
-        return out
+        Memoised on the weights and the degree; the result is a shared tuple.
+        """
+        return _monomials_of_degree(self.weights, d)
 
     def render_monomial(self, exponent: Exponent) -> str:
         factors = []
@@ -124,6 +114,25 @@ class VariableContext:
             elif e > 1:
                 factors.append(f"{name}^{e}")
         return "*".join(factors)
+
+
+@functools.lru_cache(maxsize=1024)
+def _monomials_of_degree(weights: tuple[int, ...], d: int) -> tuple[Exponent, ...]:
+    if d < 0:
+        return ()
+    out: list[Exponent] = []
+
+    def rec(i: int, remaining: int, prefix: tuple[int, ...]) -> None:
+        if i == len(weights):
+            if remaining == 0:
+                out.append(prefix)
+            return
+        w = weights[i]
+        for e in range(remaining // w, -1, -1):
+            rec(i + 1, remaining - e * w, prefix + (e,))
+
+    rec(0, d, ())
+    return tuple(out)
 
 
 def context(names: Sequence[str], weights: Sequence[int] | None = None) -> VariableContext:
@@ -277,7 +286,7 @@ class Polynomial:
             return len(degrees) == 1
         return degrees == {d}
 
-    def coefficient_vector(self, d: int) -> tuple[list[Exponent], list]:
+    def coefficient_vector(self, d: int) -> tuple[tuple[Exponent, ...], list]:
         """Coordinates of a degree-d homogeneous polynomial in the graded-lex basis.
 
         Returns the full degree-d monomial basis of the context together with
@@ -291,8 +300,7 @@ class Polynomial:
 
     # ---- calculus -------------------------------------------------------------
 
-    def derivative(self, var: int | str) -> "Polynomial":
-        i = var if isinstance(var, int) else self.context.index(var)
+    def derivative(self, i: int) -> "Polynomial":
         out: dict[Exponent, object] = {}
         for e, c in self.terms.items():
             if e[i] > 0:

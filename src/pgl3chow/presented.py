@@ -10,12 +10,14 @@ Groebner machinery.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import intlinalg
 from .poly import (
     INTEGERS,
+    Exponent,
     NotHomogeneousError,
     Polynomial,
     VariableContext,
@@ -68,9 +70,14 @@ class GradedComponent:
         return " ⊕ ".join(parts) if parts else "0"
 
 
-def relation_rows(pres: RingPresentation, d: int) -> tuple[list[tuple[int, ...]],
+def relation_rows(pres: RingPresentation, d: int) -> tuple[tuple[Exponent, ...],
                                                            intlinalg.Matrix]:
-    """Degree-d monomial basis and the matrix of relation*monomial products."""
+    """Degree-d monomial basis and the matrix of relation*monomial products.
+
+    The row of ``rel * mono`` has the coefficient of each term ``e`` of
+    ``rel`` at the index of ``mono + e``; distinct terms land on distinct
+    monomials, so no entries add.
+    """
     ctx = pres.context
     basis = ctx.monomials_of_degree(d)
     index = {e: i for i, e in enumerate(basis)}
@@ -80,10 +87,9 @@ def relation_rows(pres: RingPresentation, d: int) -> tuple[list[tuple[int, ...]]
         if rel_degree is None or rel_degree > d:
             continue
         for mono in ctx.monomials_of_degree(d - rel_degree):
-            shifted = Polynomial(ctx, INTEGERS, {mono: 1}) * rel
             row = [0] * len(basis)
-            for e, c in shifted.terms.items():
-                row[index[e]] = c
+            for e, c in rel.terms.items():
+                row[index[tuple(map(operator.add, mono, e))]] = c
             rows.append(row)
     return basis, rows
 
@@ -105,9 +111,9 @@ def rational_rank_table(pres: RingPresentation,
                         d_max: int) -> list[tuple[int, int]]:
     """Rank of each graded piece after tensoring with Q.
 
-    Computed by Gauss-Jordan elimination over ``Fraction``, deliberately
-    independent of the Smith normal form route used by
-    :func:`graded_component`.
+    Computed by :func:`intlinalg.rank_over_q`'s fraction-free forward
+    elimination, the cross-check deliberately independent of the Smith
+    normal form route used by :func:`graded_component`.
     """
     out = []
     for d in range(d_max + 1):

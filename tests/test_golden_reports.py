@@ -2,7 +2,8 @@
 
 ``check_all.json`` is the output of ``check --all --format json`` with each
 result's ``elapsed_ms`` key removed, the one field that varies between runs;
-``hilbert_rstar_20.txt`` is ``hilbert --spec builtin:Rstar --max-degree 20``.
+``hilbert_rstar_N.txt`` is ``hilbert --spec builtin:Rstar --max-degree N``
+for N = 20 and 32, the latter pinning the torsion of degrees 21-32.
 A change to the arithmetic that alters a verdict, a witness or the layout of
 a report shows up here as a byte difference.
 """
@@ -29,7 +30,9 @@ def test_check_all_json_bytes(capsys):
 
 
 def test_hilbert_rstar_bytes(capsys):
-    code, out = run_cli(capsys, "hilbert", "--spec", "builtin:Rstar",
-                        "--max-degree", "20")
-    assert code == 0
-    assert out == (DATA / "hilbert_rstar_20.txt").read_text(encoding="utf-8")
+    for bound in (20, 32):
+        code, out = run_cli(capsys, "hilbert", "--spec", "builtin:Rstar",
+                            "--max-degree", str(bound))
+        assert code == 0
+        expected = (DATA / f"hilbert_rstar_{bound}.txt").read_text(encoding="utf-8")
+        assert out == expected, bound

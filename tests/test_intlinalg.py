@@ -54,6 +54,41 @@ class TestSmith:
                               [0, 0, -11, 859]]
 
 
+class TestInvariantFactors:
+    def test_content_division_needs_no_dense_form(self, monkeypatch):
+        # No unit: divide by the content 2, pivot on the 1, and the 1x1
+        # remainder -2 has content 2 again.
+        def dense(a):
+            raise AssertionError("dense Smith form reached")
+        monkeypatch.setattr(la, "smith_normal_form", dense)
+        assert la.invariant_factors([[2, 4], [6, 8]]) == (2, 4)
+
+    def test_dense_remainder_scaled(self, monkeypatch):
+        a = [[2, 0, 0], [0, 4, 6], [0, 6, 4]]
+        expected = la.smith_normal_form(a).diag
+        seen = []
+        dense = la.smith_normal_form
+
+        def spy(rest):
+            seen.append(rest)
+            return dense(rest)
+        monkeypatch.setattr(la, "smith_normal_form", spy)
+        # Content 2, one unit pivot, then [[2, 3], [3, 2]]: content 1 and
+        # no unit, so it goes to the dense form, scaled back by 2.
+        assert la.invariant_factors(a) == expected == (2, 2, 10)
+        assert seen == [[[2, 3], [3, 2]]]
+
+    def test_empty_and_zero(self):
+        assert la.invariant_factors([]) == ()
+        assert la.invariant_factors([[], []]) == ()
+        assert la.invariant_factors([[0, 0, 0], [0, 0, 0]]) == (0, 0)
+        assert la.rank_over_q([]) == 0
+
+    def test_ragged_rejected(self):
+        with pytest.raises(la.DimensionMismatchError):
+            la.invariant_factors([[1, 2], [3]])
+
+
 class TestKernel:
     def test_sum_vector(self):
         kernel = la.kernel_basis([[1, 1, 1]])
@@ -169,4 +204,4 @@ class TestSolvers:
 
     def test_rank_over_q_matches_snf_rank(self):
         a = [[2, 4], [1, 2], [0, 3]]
-        assert la.rank_over_q(a) == la.rank(a) == 2
+        assert la.rank_over_q(a) == sum(1 for d in la.invariant_factors(a) if d) == 2

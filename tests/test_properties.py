@@ -60,6 +60,25 @@ def int_matrices(max_dim=4, bound=9):
                 min_size=m, max_size=m)))
 
 
+@st.composite
+def salted_matrices(draw, max_dim=7):
+    """Matrices rich in what the unit-pivot route branches on: ±1 entries,
+    a common factor, zero rows and zero columns."""
+    m = draw(st.integers(1, max_dim))
+    n = draw(st.integers(1, max_dim))
+    entry = st.one_of(st.sampled_from([0, 0, 1, -1]), st.integers(-9, 9))
+    a = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    factor = draw(st.sampled_from([1, 1, 2, 3, -6]))
+    a = [[factor * x for x in row] for row in a]
+    if draw(st.booleans()):
+        a[draw(st.integers(0, m - 1))] = [0] * n
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in a:
+            row[j] = 0
+    return a
+
+
 class TestSubstituteHomomorphism:
     @LAW_SETTINGS
     @given(polynomials(X3), polynomials(X3), ring_maps())
@@ -152,9 +171,16 @@ class TestNormalFormLaws:
         kernel = la.kernel_basis(a)
         for v in kernel:
             assert all(x == 0 for (x,) in la.matmul(a, [[c] for c in v]))
-        assert len(kernel) == len(a[0]) - la.rank(a)
+        assert len(kernel) == len(a[0]) - sum(1 for d in la.invariant_factors(a) if d)
         if kernel:
             assert all(d == 1 for d in la.invariant_factors(kernel))
+
+    @LAW_SETTINGS
+    @given(salted_matrices())
+    def test_invariant_factors_match_smith_and_rational_rank(self, a):
+        factors = la.invariant_factors(a)
+        assert factors == la.smith_normal_form(a).diag
+        assert la.rank_over_q(a) == sum(1 for d in factors if d)
 
     @LAW_SETTINGS
     @given(int_matrices())
