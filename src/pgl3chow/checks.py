@@ -27,10 +27,8 @@ from typing import Callable, Mapping, Sequence
 
 from . import intlinalg
 from .groups import (
-    LinearConstraint,
     MatrixGroup,
     alternating_subgroup,
-    invariant_basis,
     literally_shift_invariant,
     symmetric_group_s3,
     transported_group,
@@ -196,22 +194,34 @@ def _sl3_chern_data() -> dict[str, Polynomial]:
 Witnesses = list[tuple[str, str]]
 
 
+def _invariance_counterexamples(name: str, g: Polynomial,
+                                group: MatrixGroup) -> Witnesses:
+    """Witnesses of every element of ``group`` that moves ``g`` and of a
+    nonzero derivative of ``g`` along ``SHIFT_DIRECTION``; empty when ``g``
+    is invariant under both."""
+    wit: Witnesses = []
+    for label in group.labels():
+        moved = group.act(label, g)
+        if moved != g:
+            wit.append((f"counterexample {name} under {label}",
+                        (moved - g).render()))
+    derivative = g.directional_derivative(SHIFT_DIRECTION)
+    if derivative:
+        wit.append((f"counterexample shift derivative of {name}",
+                    derivative.render()))
+    return wit
+
+
 def _check_gamma_invariance(max_degree: int | None) -> tuple[bool, Witnesses]:
     gammas = gamma_generators()
     group = s3_on_x()
     ok = True
     wit: Witnesses = []
     for name, g in gammas.items():
-        for label in group.labels():
-            moved = group.act(label, g)
-            if moved != g:
-                ok = False
-                wit.append((f"counterexample {name} under {label}",
-                            (moved - g).render()))
-        if g.directional_derivative(SHIFT_DIRECTION):
+        counterexamples = _invariance_counterexamples(name, g, group)
+        if counterexamples:
             ok = False
-            wit.append((f"counterexample shift derivative of {name}",
-                        g.directional_derivative(SHIFT_DIRECTION).render()))
+            wit.extend(counterexamples)
         if not literally_shift_invariant(g, SHIFT_DIRECTION):
             ok = False
             wit.append((f"counterexample literal shift of {name}", "not invariant"))
@@ -219,34 +229,113 @@ def _check_gamma_invariance(max_degree: int | None) -> tuple[bool, Witnesses]:
     return ok, wit
 
 
-def _gamma_span_vectors(gammas: Mapping[str, Polynomial], d: int) -> list[list[int]]:
+def _molien_ranks(group: MatrixGroup, bound: int) -> list[int]:
+    """``[t^d] (1/|G|) sum_g 1/det(I - t*g)`` for ``d = 0..bound``: the
+    dimensions of the invariant forms of each degree (Molien's formula) for
+    a finite group of 2x2 matrices.
+
+    For a 2x2 matrix ``det(I - t*g) = 1 - tr(g)*t + det(g)*t^2``, so the
+    coefficients of its inverse obey ``c_n = tr(g)*c_{n-1} - det(g)*c_{n-2}``
+    from ``c_0 = 1``, ``c_{-1} = 0``, all in integers.  For a group every
+    sum is divisible by the order; a sum that is not means the elements do
+    not form a group, and raises ``ArithmeticError``.
+    """
+    totals = [0] * (bound + 1)
+    for _, ((a, b), (c, d)) in group.elements:
+        trace, det = a + d, a * d - b * c
+        previous, current = 0, 1
+        for n in range(bound + 1):
+            totals[n] += current
+            previous, current = current, trace * current - det * previous
+    ranks = []
+    for degree, total in enumerate(totals):
+        rank, remainder = divmod(total, len(group))
+        if remainder:
+            raise ArithmeticError(
+                f"Molien sum {total} in degree {degree} is not divisible by "
+                f"the order {len(group)}: the elements do not form a group")
+        ranks.append(rank)
+    return ranks
+
+
+def _gamma_span_vectors(gammas: Mapping[str, Polynomial],
+                        bound: int) -> list[list[list[int]]]:
+    """Coefficient vectors of the monomials ``gamma2^a * gamma3^b * gamma6^c``
+    of each degree ``0..bound``, one list per degree.
+
+    Each monomial is formed once, as a monomial of lower degree times a
+    single gamma (``gamma2`` while ``a > 0``, then ``gamma3``, then
+    ``gamma6``), so powers and products are shared across monomials and
+    degrees and every product has a small factor.
+    """
     gen_ctx = context(("g2", "g3", "g6"), (2, 3, 6))
-    vectors = []
-    for exp in gen_ctx.monomials_of_degree(d):
-        p = (gammas["gamma2"] ** exp[0] * gammas["gamma3"] ** exp[1]
-             * gammas["gamma6"] ** exp[2])
-        vectors.append(p.coefficient_vector(d)[1])
-    return vectors
+    factors = (gammas["gamma2"], gammas["gamma3"], gammas["gamma6"])
+    products = {(0, 0, 0): Polynomial.constant(factors[0].context, 1)}
+    out = []
+    for d in range(bound + 1):
+        vectors = []
+        for exp in gen_ctx.monomials_of_degree(d):
+            if exp not in products:
+                i = next(i for i, e in enumerate(exp) if e)
+                lower = exp[:i] + (exp[i] - 1,) + exp[i + 1:]
+                products[exp] = products[lower] * factors[i]
+            vectors.append(products[exp].coefficient_vector(d)[1])
+        out.append(vectors)
+    return out
 
 
 def _check_gamma_generation(bound: int) -> tuple[bool, Witnesses]:
+    """Certify, degree by degree up to ``bound``, that the monomials in the
+    gammas span the whole lattice of shift-invariant S3-invariants.
+
+    Let ``I_d`` be the lattice of integral forms of degree ``d`` in
+    ``x1, x2, x3`` that are fixed by S3 and killed by the derivative along
+    the shift ``(1, 1, 1)``, and ``L_d`` the span of the gamma monomials of
+    degree ``d``, both in the coordinates ``Z^n`` of the degree-``d``
+    monomials.
+
+    * ``L_d ⊆ I_d``: each gamma is re-verified here to be fixed by every
+      element of ``s3_on_x()`` and to have zero shift derivative, and both
+      properties pass to products (the action is a ring map; the derivative
+      obeys the Leibniz rule).
+    * ``rank I_d`` is the Molien coefficient of ``s3_on_xy()``.  Over Q a
+      form is killed by the shift derivative exactly when it is a polynomial
+      in ``x1 - x3`` and ``x2 - x3``, so the shift-invariant part of
+      ``Q[x1, x2, x3]`` is ``Q[x, y]`` with ``x = x1 - x3``, ``y = x2 - x3``,
+      on which S3 acts through the matrices of ``s3_on_xy()``.  The
+      dimension of its invariants of degree ``d`` is
+      ``[t^d] (1/6) sum_g 1/det(I - t*g)``, computed exactly in integers.
+    * If every nonzero invariant factor of the span vectors is 1, then
+      ``L_d`` is saturated: ``(L_d ⊗ Q) ∩ Z^n = L_d``.  If moreover their
+      number, ``rank L_d``, equals the Molien rank, then ``L_d ⊗ Q`` is all
+      of ``I_d ⊗ Q``, so ``I_d ⊆ (L_d ⊗ Q) ∩ Z^n = L_d`` and ``L_d = I_d``.
+
+    A degree where either condition fails is reported with its Molien rank,
+    the span rank and the non-unit invariant factors.  Saturation is needed
+    beyond the rank count: a span of full rank may still have index > 1.
+    """
     gammas = gamma_generators()
     group = s3_on_x()
-    constraint = LinearConstraint(SHIFT_DIRECTION)
     wit: Witnesses = []
+    for name, g in gammas.items():
+        wit.extend(_invariance_counterexamples(name, g, group))
+    if wit:
+        return False, wit
+    ranks = _molien_ranks(s3_on_xy(), bound)
+    spans = _gamma_span_vectors(gammas, bound)
     summary = []
-    for d in range(bound + 1):
-        span = _gamma_span_vectors(gammas, d)
-        inv = invariant_basis(group, [constraint], d)
-        inv_vectors = [p.coefficient_vector(d)[1] for p in inv]
-        comparison = intlinalg.submodule_compare(span, inv_vectors)
-        if comparison.relation != "equal":
+    for d, (rank, span) in enumerate(zip(ranks, spans)):
+        factors = [f for f in intlinalg.invariant_factors(span) if f]
+        non_units = [f for f in factors if f != 1]
+        if non_units or len(factors) != rank:
             wit.append((f"counterexample at degree {d}",
-                        f"relation {comparison.relation}, quotient invariants "
-                        f"{comparison.quotient_invariants}"))
-            wit.append((f"invariant rank at degree {d}", str(len(inv_vectors))))
+                        "the gamma span is not the invariant lattice"))
+            wit.append((f"Molien rank at degree {d}", str(rank)))
+            wit.append((f"span rank at degree {d}", str(len(factors))))
+            wit.append((f"non-unit factors at degree {d}",
+                        " ".join(map(str, non_units)) or "none"))
             return False, wit
-        summary.append(f"{d}:{len(inv_vectors)}")
+        summary.append(f"{d}:{rank}")
     wit.append(("lattice ranks by degree", " ".join(summary)))
     wit.append(("checked degrees", f"0..{bound}"))
     return True, wit

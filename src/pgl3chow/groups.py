@@ -9,13 +9,7 @@ Orbit sums model the composite of a transfer with the restriction back to the
 subring: ``orbit_sum(G, p) = sum(act(g, p) for g in G)``, which is fixed by
 every element and multiplies invariants by the group order.
 
-Invariant lattices are kernels of stacked ``A_g - I`` blocks, one per
-element ``g`` of :meth:`MatrixGroup.generators`, a subset of the elements of
-which every element is a product.  Since ``act(g*h) = act(g) o act(h)``, a
-form fixed by the generators is fixed by every element, so the kernel is the
-same lattice as with every element stacked, from fewer rows.
-
-Shift-invariance along a direction vector is imposed as the vanishing of the
+Shift-invariance along a direction vector is the vanishing of the
 directional derivative; over a torsion-free coefficient ring this is the same
 polynomial condition as literal invariance under translation by an auxiliary
 parameter, which :func:`literally_shift_invariant` provides as a cross-check.
@@ -41,17 +35,6 @@ MatrixRows = tuple[tuple[int, ...], ...]
 
 def _freeze(matrix: Sequence[Sequence[int]]) -> MatrixRows:
     return tuple(tuple(int(x) for x in row) for row in matrix)
-
-
-@dataclass(frozen=True)
-class LinearConstraint:
-    """Vanishing of the directional derivative along a nonzero direction."""
-
-    direction: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not any(self.direction):
-            raise ValueError("direction must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -101,32 +84,6 @@ class MatrixGroup:
             total = total + self._ring_map(matrix).apply(p)
         return total
 
-    def generators(self) -> tuple[tuple[str, MatrixRows], ...]:
-        """A subset of the elements of which every element is a product.
-
-        Walks the elements in order and keeps each one that is not yet a
-        product of those kept (the identity, the empty product, always is),
-        closing the set of reached elements after each pick.  Products that
-        leave the element set are ignored, so the walk ends for any list.
-        """
-        n = self.ctx.arity
-        in_group = {m for _, m in self.elements}
-        reached = {_freeze(intlinalg.identity(n))}
-        chosen: list[tuple[str, MatrixRows]] = []
-        for label, m in self.elements:
-            if m in reached:
-                continue
-            chosen.append((label, m))
-            frontier = list(reached)
-            while frontier:
-                x = frontier.pop()
-                for _, c in chosen:
-                    y = _freeze(intlinalg.matmul(x, c))
-                    if y in in_group and y not in reached:
-                        reached.add(y)
-                        frontier.append(y)
-        return tuple(chosen)
-
     def closure_check(self) -> ClosureReport:
         violations: list[str] = []
         n = self.ctx.arity
@@ -156,78 +113,6 @@ class MatrixGroup:
                        for other in mats):
                 violations.append(f"{label}: no inverse in the element set")
         return ClosureReport(not violations, len(self.elements), tuple(violations))
-
-
-def action_matrix(group: MatrixGroup, matrix: MatrixRows, d: int) -> intlinalg.Matrix:
-    """Matrix of the substitution action on degree-d coefficient vectors.
-
-    The image of each monomial is a product of powers of the images of the
-    variables, and each power is computed once for the whole matrix.
-    """
-    basis = group.ctx.monomials_of_degree(d)
-    index = {e: i for i, e in enumerate(basis)}
-    cols = len(basis)
-    out = [[0] * cols for _ in range(cols)]
-    one = Polynomial.constant(group.ctx, 1)
-    powers = [[one, image] for image in group._ring_map(matrix).images]
-    for j, exp in enumerate(basis):
-        image = one
-        for cache, e in zip(powers, exp):
-            while len(cache) <= e:
-                cache.append(cache[-1] * cache[1])
-            if e:
-                image = image * cache[e]
-        for e, c in image.terms.items():
-            out[index[e]][j] = c
-    return out
-
-
-def derivative_matrix(ctx: VariableContext, direction: Sequence[int],
-                      d: int) -> intlinalg.Matrix:
-    """Matrix of the directional derivative from degree d to degree d-1."""
-    basis = ctx.monomials_of_degree(d)
-    target = ctx.monomials_of_degree(d - 1) if d >= 1 else []
-    index = {e: i for i, e in enumerate(target)}
-    out = [[0] * len(basis) for _ in range(len(target))]
-    for j, exp in enumerate(basis):
-        for i, step in enumerate(direction):
-            if step and exp[i] > 0:
-                ne = list(exp)
-                ne[i] -= 1
-                out[index[tuple(ne)]][j] += step * exp[i]
-    return out
-
-
-def invariant_basis(group: MatrixGroup, constraints: Sequence[LinearConstraint],
-                    d: int) -> list[Polynomial]:
-    """Z-basis of the saturated lattice of degree-d forms fixed by the group
-    and killed by every directional-derivative constraint.
-
-    Invariance is imposed only under ``group.generators()``: a form fixed by
-    those is fixed by every product of them, which is every element, so the
-    kernel is the same lattice as with all elements stacked.
-    """
-    basis = group.ctx.monomials_of_degree(d)
-    cols = len(basis)
-    if cols == 0:
-        return []
-    stacked: intlinalg.Matrix = []
-    for _, matrix in group.generators():
-        for i, row in enumerate(action_matrix(group, matrix, d)):
-            row[i] -= 1
-            if any(row):
-                stacked.append(row)
-    for constraint in constraints:
-        stacked.extend(derivative_matrix(group.ctx, constraint.direction, d))
-    if not stacked:
-        kernel = intlinalg.identity(cols)
-    else:
-        kernel = intlinalg.kernel_basis(stacked)
-    out = []
-    for vec in kernel:
-        out.append(Polynomial(group.ctx, INTEGERS,
-                              {basis[i]: vec[i] for i in range(cols)}))
-    return out
 
 
 def literally_shift_invariant(p: Polynomial, direction: Sequence[int]) -> bool:

@@ -1,4 +1,5 @@
-"""Exact integer matrix normal forms and lattice comparison.
+"""Exact integer matrix normal forms, invariant factors, kernels and lattice
+membership.
 
 Everything here works on row-major ``list[list[int]]`` matrices with plain
 Python integers, so intermediate values never overflow.  Smith normal form
@@ -10,8 +11,8 @@ by its content whenever no unit is left (SNF(g·B) = g·SNF(B)); only a
 remainder of content 1 without a unit goes through the dense Smith form.
 :func:`rank_over_q` is the independent cross-check of the Smith-form rank.
 Hermite normal form is the canonical row-echelon form (positive pivots,
-entries above a pivot reduced into ``[0, pivot)``), which makes lattice
-equality a plain list comparison.
+entries above a pivot reduced into ``[0, pivot)``); :func:`solve_left`
+decides membership by back-substitution against it.
 """
 
 from __future__ import annotations
@@ -496,49 +497,3 @@ def membership(target: Sequence[int], gens: Sequence[Sequence[int]],
     if x is None:
         return MembershipResult(False, None)
     return MembershipResult(True, tuple(c % modulus for c in x[:len(gens)]))
-
-
-# ---- submodule comparison ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CompareResult:
-    relation: str  # equal | A_in_B | B_in_A | incomparable
-    quotient_invariants: tuple[int, ...] | None
-
-
-def _quotient_invariants(sub_basis: list[Vector],
-                         big_basis: list[Vector]) -> tuple[int, ...]:
-    """Invariant factors of span(big)/span(sub), given HNF bases, sub inside big."""
-    if not big_basis:
-        return ()
-    coeff_rows = []
-    for row in sub_basis:
-        x = solve_left(row, big_basis)
-        if x is None:
-            raise ValueError("sub lattice not inside big lattice")
-        coeff_rows.append(x)
-    nonzero = [d for d in invariant_factors(coeff_rows) if d]
-    torsion = [d for d in nonzero if d != 1]
-    return tuple(torsion + [0] * (len(big_basis) - len(nonzero)))
-
-
-def submodule_compare(gens_a: Sequence[Sequence[int]],
-                      gens_b: Sequence[Sequence[int]]) -> CompareResult:
-    gens_a = [list(map(int, g)) for g in gens_a]
-    gens_b = [list(map(int, g)) for g in gens_b]
-    lengths = {len(g) for g in gens_a} | {len(g) for g in gens_b}
-    if len(lengths) > 1:
-        raise DimensionMismatchError("generators of mixed lengths")
-    ha = hermite_normal_form(gens_a)
-    hb = hermite_normal_form(gens_b)
-    hab = hermite_normal_form(gens_a + gens_b)
-    a_in_b = hab == hb
-    b_in_a = hab == ha
-    if a_in_b and b_in_a:
-        return CompareResult("equal", ())
-    if a_in_b:
-        return CompareResult("A_in_B", _quotient_invariants(ha, hb))
-    if b_in_a:
-        return CompareResult("B_in_A", _quotient_invariants(hb, ha))
-    return CompareResult("incomparable", None)

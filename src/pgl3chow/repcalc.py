@@ -191,7 +191,6 @@ def chern_class(r: VirtualRep, i: int) -> Polynomial:
 class LatticeMap:
     """Linear map of character lattices, optionally reducing coefficients."""
 
-    name: str
     source: Lattice
     target: Lattice
     matrix: tuple[tuple[int, ...], ...]  # target.rank rows x source.rank columns
@@ -317,10 +316,10 @@ A3MU3_AB = Lattice("A3mu3_ab", context(("a", "b")), integers_mod(3))
 
 # x1 -> x, x2 -> y, x3 -> 0: inverse of the embedding x = x1 - x3, y = x2 - x3;
 # canonical on translation-invariant polynomials.
-TO_XY = LatticeMap("to_xy", T_GL3, T_PGL3_XY, ((1, 0, 0), (0, 1, 0)))
+TO_XY = LatticeMap(T_GL3, T_PGL3_XY, ((1, 0, 0), (0, 1, 0)))
 
 # Restriction along the inclusion of the SL3 torus: x3 = -x1 - x2.
-TO_SL3 = LatticeMap("to_SL3", T_GL3, T_SL3_U, ((1, 0, -1), (0, 1, -1)))
+TO_SL3 = LatticeMap(T_GL3, T_SL3_U, ((1, 0, -1), (0, 1, -1)))
 
 # The embedding of SL3-torus characters into GL3-torus characters induced by
 # [t1,t2,t3] -> (t2/t3, t3/t1, t1/t2); one column per u-variable.  Transporting

@@ -1,8 +1,12 @@
-"""The check registry: verdicts, witnesses, determinism, degree monotonicity."""
+"""The check registry: verdicts, witnesses, the gamma-generation certificate,
+determinism, degree monotonicity."""
 
 import pytest
 
 from pgl3chow import checks
+from pgl3chow.groups import MatrixGroup, alternating_subgroup
+from pgl3chow.intlinalg import invariant_factors
+from pgl3chow.poly import Polynomial
 
 EXPECTED_NAMES = [
     "gamma-invariance",
@@ -103,6 +107,75 @@ class TestVerdicts:
         assert result.verdict == "pass"
         wit = result.witness_dict()
         assert "4: Z ⊕ Z/3" in wit["graded components"]
+
+
+def _series(numerator, weights, bound):
+    """Coefficients through t^bound of numerator / prod(1 - t^w), one pass
+    of c[n] += c[n - w] per weight."""
+    coeffs = [numerator.get(n, 0) for n in range(bound + 1)]
+    for w in weights:
+        for n in range(w, bound + 1):
+            coeffs[n] += coeffs[n - w]
+    return coeffs
+
+
+class TestGammaCertificate:
+    def test_molien_ranks_of_the_weyl_group(self):
+        assert checks._molien_ranks(checks.s3_on_xy(), 40) == \
+            _series({0: 1}, (2, 3), 40)
+
+    def test_molien_ranks_of_the_alternating_subgroup(self):
+        group = alternating_subgroup(checks.s3_on_xy())
+        assert checks._molien_ranks(group, 40) == \
+            _series({0: 1, 3: 1}, (2, 3), 40)
+
+    def test_molien_sum_of_a_non_group_raises(self):
+        full = checks.s3_on_xy()
+        group = MatrixGroup(full.ctx, tuple(
+            (label, full.matrix(label)) for label in ("e", "(123)")))
+        with pytest.raises(ArithmeticError, match="not divisible"):
+            checks._molien_ranks(group, 4)
+
+    def test_gamma_spans_are_saturated(self):
+        spans = checks._gamma_span_vectors(checks.gamma_generators(), 12)
+        ranks = checks._molien_ranks(checks.s3_on_xy(), 12)
+        for d, (span, rank) in enumerate(zip(spans, ranks)):
+            nonzero = [f for f in invariant_factors(span) if f]
+            assert nonzero == [1] * rank, d
+
+    def test_failure_witnesses(self, monkeypatch):
+        real = checks.gamma_generators()
+        cases = (
+            # Full rank but index 2: saturation fails.
+            ({**real, "gamma2": 2 * real["gamma2"]}, 2, "1", "1", "2"),
+            # Degree 6 is then spanned by g2^3 and g3^2 = 4*g2^3 - 27*g6:
+            # the Molien rank 2 is reached, yet the index is 27.
+            ({**real, "gamma6": real["gamma2"] ** 3}, 6, "2", "2", "27"),
+            # Saturated but short of the Molien rank.
+            ({**real, "gamma3": 0 * real["gamma3"]}, 3, "1", "0", "none"),
+        )
+        for gammas, degree, molien, span, factors in cases:
+            monkeypatch.setattr(checks, "gamma_generators", lambda g=gammas: g)
+            result = checks.run_check("gamma-generation", 8)
+            assert result.verdict == "fail"
+            wit = result.witness_dict()
+            assert f"counterexample at degree {degree}" in wit
+            assert wit[f"Molien rank at degree {degree}"] == molien
+            assert wit[f"span rank at degree {degree}"] == span
+            assert wit[f"non-unit factors at degree {degree}"] == factors
+            assert "lattice ranks by degree" not in wit
+
+    def test_non_invariant_generator_fails_before_ranks(self, monkeypatch):
+        real = checks.gamma_generators()
+        x1 = Polynomial.variable(real["gamma2"].context, "x1")
+        fake = {**real, "gamma2": x1 ** 2}
+        monkeypatch.setattr(checks, "gamma_generators", lambda: fake)
+        result = checks.run_check("gamma-generation", 4)
+        assert result.verdict == "fail"
+        wit = result.witness_dict()
+        assert "counterexample gamma2 under (12)" in wit
+        assert "counterexample shift derivative of gamma2" in wit
+        assert not any(key.startswith("Molien rank") for key in wit)
 
 
 class TestWitnessRoundTrip:

@@ -1,7 +1,9 @@
 """Report bytes pinned against files in tests/data.
 
-``check_all.json`` is the output of ``check --all --format json`` with each
-result's ``elapsed_ms`` key removed, the one field that varies between runs;
+``check_all.json`` is the output of ``check --all --format json`` and
+``gamma_generation_24.json`` that of ``check --name gamma-generation
+--max-degree 24 --format json``, each with every result's ``elapsed_ms`` key
+removed, the one field that varies between runs;
 ``hilbert_rstar_N.txt`` is ``hilbert --spec builtin:Rstar --max-degree N``
 for N = 20 and 32, the latter pinning the torsion of degrees 21-32.
 A change to the arithmetic that alters a verdict, a witness or the layout of
@@ -23,10 +25,17 @@ def run_cli(capsys, *argv):
 
 
 def test_check_all_json_bytes(capsys):
-    code, out = run_cli(capsys, "check", "--all", "--format", "json")
-    assert code == 1  # hsurj-restrictions fails by design
-    expected = (DATA / "check_all.json").read_text(encoding="utf-8")
-    assert ELAPSED.sub("", out) == expected
+    cases = (
+        # hsurj-restrictions fails by design, so --all exits 1.
+        (("--all",), 1, "check_all.json"),
+        (("--name", "gamma-generation", "--max-degree", "24"), 0,
+         "gamma_generation_24.json"),
+    )
+    for selection, exit_code, name in cases:
+        code, out = run_cli(capsys, "check", *selection, "--format", "json")
+        assert code == exit_code, name
+        expected = (DATA / name).read_text(encoding="utf-8")
+        assert ELAPSED.sub("", out) == expected, name
 
 
 def test_hilbert_rstar_bytes(capsys):

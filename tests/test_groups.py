@@ -1,4 +1,4 @@
-"""Group actions, closure checks, orbit sums, invariant lattices."""
+"""Group actions, closure checks, orbit sums, shift criteria."""
 
 from pgl3chow import intlinalg as la
 from pgl3chow.checks import (
@@ -11,14 +11,7 @@ from pgl3chow.checks import (
     theta_torus,
     u_variables,
 )
-from pgl3chow.groups import (
-    LinearConstraint,
-    MatrixGroup,
-    action_matrix,
-    derivative_matrix,
-    invariant_basis,
-    literally_shift_invariant,
-)
+from pgl3chow.groups import MatrixGroup, literally_shift_invariant
 from pgl3chow.poly import INTEGERS, Polynomial, context, parse
 from pgl3chow.repcalc import T_PGL3_XY
 
@@ -111,117 +104,6 @@ class TestOrbitSum:
         s = group.orbit_sum(u1 ** 3 * u2)
         for label in group.labels():
             assert group.act(label, s) == s
-
-
-class TestInvariantBasis:
-    def test_degree_two_is_gamma2_lattice(self):
-        group = s3_on_x()
-        constraint = LinearConstraint(SHIFT_DIRECTION)
-        basis = invariant_basis(group, [constraint], 2)
-        assert len(basis) == 1
-        gamma2 = gamma_generators()["gamma2"]
-        vectors = [p.coefficient_vector(2)[1] for p in basis]
-        target = [gamma2.coefficient_vector(2)[1]]
-        assert la.submodule_compare(vectors, target).relation == "equal"
-
-    def test_degree_one_unconstrained(self):
-        group = s3_on_x()
-        basis = invariant_basis(group, [], 1)
-        assert len(basis) == 1
-        ctx = basis[0].context
-        s1 = sum((Polynomial.variable(ctx, n) for n in ctx.names),
-                 Polynomial.zero(ctx))
-        assert basis[0] in (s1, -s1)
-
-    def test_degree_one_with_shift_is_empty(self):
-        group = s3_on_x()
-        constraint = LinearConstraint(SHIFT_DIRECTION)
-        assert invariant_basis(group, [constraint], 1) == []
-
-    def test_basis_elements_fixed_and_constrained(self):
-        group = s3_on_x()
-        constraint = LinearConstraint(SHIFT_DIRECTION)
-        for d in (2, 3, 4):
-            for b in invariant_basis(group, [constraint], d):
-                for label in group.labels():
-                    assert group.act(label, b) == b
-                assert not b.directional_derivative(SHIFT_DIRECTION)
-                assert literally_shift_invariant(b, SHIFT_DIRECTION)
-
-    def test_spanned_lattice_is_saturated(self):
-        group = s3_on_x()
-        constraint = LinearConstraint(SHIFT_DIRECTION)
-        for d in (2, 3, 6):
-            vectors = [b.coefficient_vector(d)[1]
-                       for b in invariant_basis(group, [constraint], d)]
-            if vectors:
-                assert all(f == 1 for f in la.invariant_factors(vectors))
-
-
-def _reached(group, gens):
-    """Every element that is a product of the given elements, found by
-    closing {identity} under right multiplication."""
-    matrices = {m for _, m in group.elements}
-    ident = tuple(tuple(r) for r in la.identity(group.ctx.arity))
-    reached, frontier = {ident}, [ident]
-    while frontier:
-        x = frontier.pop()
-        for _, g in gens:
-            y = tuple(tuple(r) for r in la.matmul(x, g))
-            if y in matrices and y not in reached:
-                reached.add(y)
-                frontier.append(y)
-    return reached
-
-
-def _all_elements_invariants(group, constraints, d):
-    """HNF of the kernel of every element's A_g - I block stacked, with the
-    constraint rows; the lattice invariant_basis must reproduce."""
-    cols = len(group.ctx.monomials_of_degree(d))
-    stacked = []
-    for _, matrix in group.elements:
-        a = action_matrix(group, matrix, d)
-        stacked.extend([a[i][j] - (i == j) for j in range(cols)]
-                       for i in range(cols))
-    for c in constraints:
-        stacked.extend(derivative_matrix(group.ctx, c.direction, d))
-    kernel = la.kernel_basis(stacked) if stacked else la.identity(cols)
-    return la.hermite_normal_form(kernel)
-
-
-class TestGenerators:
-    def test_closed_groups(self):
-        cases = ((s3_on_x(), 2), (s3_on_xy(), 2), (s3_on_u(), 2),
-                 (a3_on_u(), 1))
-        for group, count in cases:
-            gens = group.generators()
-            assert len(gens) == count
-            assert set(gens) <= set(group.elements)
-            assert _reached(group, gens) == {m for _, m in group.elements}
-
-    def test_s3_picks_two_transpositions(self):
-        assert [label for label, _ in s3_on_x().generators()] == \
-            ["(12)", "(13)"]
-
-    def test_element_list_not_closed(self):
-        full = s3_on_x()
-        group = MatrixGroup(full.ctx, tuple(
-            (label, full.matrix(label)) for label in ("e", "(12)", "(123)")))
-        gens = group.generators()
-        assert [label for label, _ in gens] == ["(12)", "(123)"]
-        reached = _reached(group, gens)
-        for label, m in group.elements:
-            assert (label, m) in gens or m in reached
-
-    def test_invariant_lattice_matches_all_elements(self):
-        shift = [LinearConstraint(SHIFT_DIRECTION)]
-        cases = ((s3_on_x(), shift), (s3_on_x(), []), (s3_on_u(), []))
-        for group, constraints in cases:
-            for d in range(9):
-                vectors = [b.coefficient_vector(d)[1]
-                           for b in invariant_basis(group, constraints, d)]
-                assert la.hermite_normal_form(vectors) == \
-                    _all_elements_invariants(group, constraints, d)
 
 
 class TestShiftCriteria:

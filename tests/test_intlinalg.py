@@ -1,4 +1,4 @@
-"""Smith and Hermite normal forms, kernels, lattice comparison, membership."""
+"""Smith and Hermite normal forms, invariant factors, kernels, membership."""
 
 import pytest
 
@@ -120,41 +120,6 @@ class TestKernel:
         monkeypatch.setattr(la, "_smith_reduce", corrupted)
         with pytest.raises(ArithmeticError):
             la.kernel_basis([[1, 1, 1]])
-
-
-class TestCompare:
-    def test_index_four_sublattice(self):
-        result = la.submodule_compare([[2, 0], [0, 2]], [[1, 0], [0, 1]])
-        assert result.relation == "A_in_B"
-        assert result.quotient_invariants == (2, 2)
-
-    def test_equal_lists(self):
-        result = la.submodule_compare([[1, 2], [0, 3]], [[1, 2], [0, 3]])
-        assert result.relation == "equal"
-
-    def test_incomparable(self):
-        result = la.submodule_compare([[1, 0]], [[0, 1]])
-        assert result.relation == "incomparable"
-        assert result.quotient_invariants is None
-
-    def test_mirrored(self):
-        a = [[2, 0], [0, 2]]
-        b = [[1, 0], [0, 1]]
-        assert la.submodule_compare(a, b).relation == "A_in_B"
-        assert la.submodule_compare(b, a).relation == "B_in_A"
-
-    def test_free_quotient_reported_as_zero(self):
-        result = la.submodule_compare([[1, 0]], [[1, 0], [0, 1]])
-        assert result.relation == "A_in_B"
-        assert result.quotient_invariants == (0,)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(la.DimensionMismatchError):
-            la.submodule_compare([[1, 0]], [[1, 0, 0]])
-
-    def test_quotient_of_non_sublattice_rejected(self):
-        with pytest.raises(ValueError, match="not inside"):
-            la._quotient_invariants([[1, 0]], [[2, 0]])
 
 
 class TestMembership:

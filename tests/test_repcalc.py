@@ -119,7 +119,7 @@ class TestChernClasses:
 
 
 # The torus characters u1, u2, u3 restrict to b+a, b-a, b on A3 x mu3.
-TO_A3MU3 = LatticeMap("to_A3mu3", T_SL3_U, A3MU3_AB, ((1, -1), (1, 1)))
+TO_A3MU3 = LatticeMap(T_SL3_U, A3MU3_AB, ((1, -1), (1, 1)))
 
 
 class TestRestriction:
@@ -144,7 +144,7 @@ class TestRestriction:
         assert restricted == 27 * a3
 
     def test_identity_lattice_map(self):
-        ident = LatticeMap("id", T_SL3_U, T_SL3_U, ((1, 0), (0, 1)))
+        ident = LatticeMap(T_SL3_U, T_SL3_U, ((1, 0), (0, 1)))
         w = standard("W_A3T")
         assert restrict_rep(w, ident) == w
         c2w = chern_class(w, 2)
@@ -167,7 +167,7 @@ class TestCatalog:
             standard("nope")
 
     def test_mod3_map_is_identity_on_the_finite_lattice(self):
-        mod3 = LatticeMap("mod3", A3MU3_AB, A3MU3_AB, ((1, 0), (0, 1)))
+        mod3 = LatticeMap(A3MU3_AB, A3MU3_AB, ((1, 0), (0, 1)))
         w = standard("W_A3mu3")
         assert restrict_rep(w, mod3) == w
         c2w = chern_class(w, 2)
