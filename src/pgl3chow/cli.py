@@ -15,7 +15,7 @@ from typing import Sequence
 
 from . import checks
 from .checks import CheckConfigError, Report, UnknownCheckError
-from .config import ConfigError, UserConfig, load_config
+from .config import MAX_DEGREE, ConfigError, UserConfig, check_degree_bound, load_config
 from .presented import BUILTIN_PRESENTATIONS, RingPresentation, graded_component
 
 REPORT_VERSION = "1"
@@ -167,9 +167,6 @@ def cmd_check(args: argparse.Namespace, config: Config) -> int:
 
 
 def cmd_hilbert(args: argparse.Namespace) -> int:
-    if args.max_degree < 0:
-        print("error: --max-degree must be >= 0", file=sys.stderr)
-        return 2
     try:
         pres = _resolve_presentation(args.spec)
     except ConfigError as exc:
@@ -202,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--all", action="store_true", help="run every check")
     which.add_argument("--name", metavar="ID", help="run a single check")
     p_check.add_argument("--max-degree", type=int, metavar="N",
-                         help="degree bound override for the selected checks")
+                         help="degree bound override for the selected checks "
+                              f"(0 to {MAX_DEGREE})")
     p_check.add_argument("--format", choices=("text", "json"),
                          help="report format (default text)")
 
@@ -210,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
         "hilbert", help="graded components of a presented ring")
     p_hilbert.add_argument("--spec", required=True, metavar="PATH|builtin:NAME",
                            help="presentation source, e.g. builtin:Rstar")
-    p_hilbert.add_argument("--max-degree", type=int, required=True, metavar="N")
+    p_hilbert.add_argument("--max-degree", type=int, required=True, metavar="N",
+                           help=f"last degree to print (0 to {MAX_DEGREE})")
 
     sub.add_parser("list", help="list the check registry with anchors")
     return parser
@@ -239,11 +238,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             config.output_format = user.output_format
     if getattr(args, "format", None):
         config.output_format = args.format
-    if getattr(args, "max_degree", None) is not None and args.command == "check":
-        if args.max_degree < 0:
-            print("error: --max-degree must be >= 0", file=sys.stderr)
+    if getattr(args, "max_degree", None) is not None:
+        try:
+            check_degree_bound(args.max_degree, "--max-degree")
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
-        config.max_degree = args.max_degree
+        if args.command == "check":
+            config.max_degree = args.max_degree
 
     try:
         if args.command == "check":

@@ -4,13 +4,15 @@ Grammar (line oriented; ``#`` starts a comment, blank lines are ignored)::
 
     [options]
     format = text | json
-    max-degree <check-name> = <non-negative integer>
+    max-degree <check-name> = <integer from 0 to MAX_DEGREE>
 
     [presentation NAME]
     generators = name:degree name:degree ...
     relation = <polynomial text over the generator symbols>
 
 Unknown section kinds and unknown keys are rejected rather than ignored.
+Every degree bound given as input, here or by ``--max-degree``, is checked
+by :func:`check_degree_bound` against the one limit ``MAX_DEGREE``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,20 @@ from .presented import RingPresentation
 
 class ConfigError(ValueError):
     pass
+
+
+# The largest degree bound accepted as input.  At 64 the slowest check,
+# rstar-structure, takes about 40 s and gamma-generation about 20 s (Python
+# 3.11 on a 2-core machine); the work grows quickly beyond it.
+MAX_DEGREE = 64
+
+
+def check_degree_bound(bound: int, what: str) -> int:
+    """Return ``bound`` if it lies in ``[0, MAX_DEGREE]``; else raise
+    ConfigError naming ``what``."""
+    if not 0 <= bound <= MAX_DEGREE:
+        raise ConfigError(f"{what} must be between 0 and {MAX_DEGREE}, got {bound}")
+    return bound
 
 
 @dataclass
@@ -68,9 +84,8 @@ def _finish_options(section: _SectionBuilder, cfg: UserConfig) -> None:
             except ValueError:
                 raise ConfigError(f"line {lineno}: max-degree must be an integer") \
                     from None
-            if bound < 0:
-                raise ConfigError(f"line {lineno}: max-degree must be >= 0")
-            cfg.max_degree_overrides[tokens[1]] = bound
+            cfg.max_degree_overrides[tokens[1]] = check_degree_bound(
+                bound, f"line {lineno}: max-degree")
         else:
             raise ConfigError(f"line {lineno}: unknown options key {key!r}")
 

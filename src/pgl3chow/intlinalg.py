@@ -2,17 +2,19 @@
 membership.
 
 Everything here works on row-major ``list[list[int]]`` matrices with plain
-Python integers, so intermediate values never overflow.  Smith normal form
-pivots on the minimal nonzero entry, taking the first unit it meets;
-:func:`kernel_basis` runs the same elimination without the left transform.
+Python integers, so intermediate values never overflow.  The one Smith
+elimination pivots on the minimal nonzero entry, taking the first unit it
+meets, and never builds a left transform; :func:`kernel_basis` keeps its
+right transform and certifies ``A·v == 0`` for every kernel vector.
 :func:`invariant_factors` builds no transforms: on sparse rows it eliminates
 ±1 pivots, deleting each pivot's row and column, and divides the remainder
 by its content whenever no unit is left (SNF(g·B) = g·SNF(B)); only a
-remainder of content 1 without a unit goes through the dense Smith form.
+remainder of content 1 without a unit goes through the dense elimination.
 :func:`rank_over_q` is the independent cross-check of the Smith-form rank.
 Hermite normal form is the canonical row-echelon form (positive pivots,
 entries above a pivot reduced into ``[0, pivot)``); :func:`solve_left`
-decides membership by back-substitution against it.
+decides membership by back-substitution against it, and :func:`membership`
+multiplies its certificate back before it answers yes.
 """
 
 from __future__ import annotations
@@ -94,27 +96,20 @@ def bareiss_determinant(a: Sequence[Sequence[int]]) -> int:
 # ---- Smith normal form ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmithForm:
-    """diag with d1 | d2 | ...; left @ A @ right == diag(diag)."""
-
-    diag: tuple[int, ...]
-    left: Matrix
-    right: Matrix
-
-
 def _swap_rows(m: Matrix, i: int, j: int) -> None:
     m[i], m[j] = m[j], m[i]
 
 
-def _smith_reduce(a: Sequence[Sequence[int]], with_left: bool
-                  ) -> tuple[tuple[int, ...], Matrix | None, Matrix]:
-    """Diagonalize a copy of ``a``; return ``(diag, left, right_t)``.
+def _smith_reduce(a: Sequence[Sequence[int]], with_right: bool
+                  ) -> tuple[tuple[int, ...], Matrix | None]:
+    """Diagonalize a copy of ``a`` to Smith form; return ``(diag, right_t)``.
 
-    The one elimination loop behind :func:`smith_normal_form` and
-    :func:`kernel_basis`.  ``right_t`` holds the columns of the right
-    transform as rows, so each column operation is a row operation on it.
-    ``left`` is built only when ``with_left`` is set, and is None otherwise.
+    The one Smith elimination, behind :func:`kernel_basis` (with the right
+    transform) and the dense remainder of :func:`invariant_factors`
+    (without).  ``diag`` has ``min(rows, cols)`` entries, d1 | d2 | ...
+    then zeros.  ``right_t`` holds the columns of the right transform as
+    rows, so each column operation is a row operation on it; it is None
+    unless ``with_right`` is set.  No left transform is built.
 
     Once pivot ``t`` is done, row ``t`` and column ``t`` are zero off the
     diagonal, so later row operations on ``d`` touch only columns ``>= t``
@@ -125,8 +120,7 @@ def _smith_reduce(a: Sequence[Sequence[int]], with_left: bool
     d = [list(map(int, row)) for row in a]
     if any(len(row) != cols for row in d):
         raise DimensionMismatchError("ragged matrix")
-    left = identity(rows) if with_left else None
-    right_t = identity(cols)
+    right_t = identity(cols) if with_right else None
     k = min(rows, cols)
     t = 0
     while t < k:
@@ -148,12 +142,11 @@ def _smith_reduce(a: Sequence[Sequence[int]], with_left: bool
             break
         if pi != t:
             _swap_rows(d, t, pi)
-            if left is not None:
-                _swap_rows(left, t, pi)
         if pj != t:
             for row in d[t:]:
                 row[t], row[pj] = row[pj], row[t]
-            _swap_rows(right_t, t, pj)
+            if right_t is not None:
+                _swap_rows(right_t, t, pj)
         top = d[t]
         p = top[t]
         dirty = False
@@ -163,8 +156,6 @@ def _smith_reduce(a: Sequence[Sequence[int]], with_left: bool
                 q = row[t] // p
                 for j in range(t, cols):
                     row[j] -= q * top[j]
-                if left is not None:
-                    left[i] = [x - q * y for x, y in zip(left[i], left[t])]
                 if row[t]:
                     dirty = True
         for j in range(t + 1, cols):
@@ -172,7 +163,8 @@ def _smith_reduce(a: Sequence[Sequence[int]], with_left: bool
                 q = top[j] // p
                 for row in d[t:]:
                     row[j] -= q * row[t]
-                right_t[j] = [x - q * y for x, y in zip(right_t[j], right_t[t])]
+                if right_t is not None:
+                    right_t[j] = [x - q * y for x, y in zip(right_t[j], right_t[t])]
                 if top[j]:
                     dirty = True
         if dirty:
@@ -193,32 +185,25 @@ def _smith_reduce(a: Sequence[Sequence[int]], with_left: bool
                 row = d[fix]
                 for j in range(t, cols):
                     top[j] += row[j]
-                if left is not None:
-                    left[t] = [x + y for x, y in zip(left[t], left[fix])]
                 continue
         if p < 0:
             top[t] = -p
-            if left is not None:
-                left[t] = [-x for x in left[t]]
         t += 1
-    return tuple(d[i][i] for i in range(k)), left, right_t
-
-
-def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
-    diag, left, right_t = _smith_reduce(a, with_left=True)
-    return SmithForm(diag, left, transpose(right_t))
+    return tuple(d[i][i] for i in range(k)), right_t
 
 
 def invariant_factors(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Smith invariant factors of ``a``: the divisibility chain, then zeros,
-    ``min(rows, cols)`` entries in all, equal to ``smith_normal_form(a).diag``.
+    ``min(rows, cols)`` entries in all, equal to the diagonal of the dense
+    Smith elimination of ``a``.
 
     Rows are kept as sparse ``{col: value}`` dicts.  A pivot of value ±1 is
     eliminated with its row and column deleted, and contributes one factor
     equal to the current scale.  When no unit is left, the remainder is
     divided by its content ``g > 1`` and the scale multiplied by ``g``, which
     is exact because SNF(g·B) = g·SNF(B).  Only a remainder of content 1
-    without a unit goes to the dense :func:`smith_normal_form`.
+    without a unit goes to the dense Smith elimination, which builds no
+    transform.
     """
     cols = len(a[0]) if a else 0
     if any(len(row) != cols for row in a):
@@ -250,7 +235,8 @@ def invariant_factors(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
     if live:
         rest = sorted(where)
         dense = [[entries.get(j, 0) for j in rest] for entries in live.values()]
-        factors.extend(scale * x for x in smith_normal_form(dense).diag if x)
+        diag, _ = _smith_reduce(dense, with_right=False)
+        factors.extend(scale * x for x in diag if x)
     return tuple(factors) + (0,) * (min(len(a), cols) - len(factors))
 
 
@@ -341,7 +327,7 @@ def kernel_basis(a: Sequence[Sequence[int]]) -> list[Vector]:
     cols = len(a[0]) if a else 0
     if rows == 0:
         return [row[:] for row in identity(cols)]
-    diag, _, right_t = _smith_reduce(a, with_left=False)
+    diag, right_t = _smith_reduce(a, with_right=True)
     kernel = right_t[sum(1 for x in diag if x):]
     for row in a:
         for v in kernel:
@@ -476,7 +462,12 @@ class MembershipResult:
 
 def membership(target: Sequence[int], gens: Sequence[Sequence[int]],
                modulus: int | None = None) -> MembershipResult:
-    """Decide lattice (or Z/m-module) membership with a verifiable certificate."""
+    """Decide lattice (or Z/m-module) membership with a verifiable certificate.
+
+    A yes is believed only after the certificate is multiplied back into
+    the generators and reproduces the target (mod ``modulus`` if given);
+    a mismatch raises ``ArithmeticError``.
+    """
     gens = [list(map(int, g)) for g in gens]
     target = list(map(int, target))
     for g in gens:
@@ -486,14 +477,23 @@ def membership(target: Sequence[int], gens: Sequence[Sequence[int]],
         x = solve_left(target, gens)
         if x is None:
             return MembershipResult(False, None)
-        return MembershipResult(True, tuple(x))
-    n = len(target)
-    extended = [g[:] for g in gens]
-    for i in range(n):
-        row = [0] * n
-        row[i] = modulus
-        extended.append(row)
-    x = solve_left([t % modulus for t in target], extended)
-    if x is None:
-        return MembershipResult(False, None)
-    return MembershipResult(True, tuple(c % modulus for c in x[:len(gens)]))
+        certificate = tuple(x)
+    else:
+        n = len(target)
+        extended = [g[:] for g in gens]
+        for i in range(n):
+            row = [0] * n
+            row[i] = modulus
+            extended.append(row)
+        x = solve_left([t % modulus for t in target], extended)
+        if x is None:
+            return MembershipResult(False, None)
+        certificate = tuple(c % modulus for c in x[:len(gens)])
+    combined = [sum(c * g[j] for c, g in zip(certificate, gens))
+                for j in range(len(target))]
+    if modulus is not None:
+        combined = [v % modulus for v in combined]
+        target = [t % modulus for t in target]
+    if combined != target:
+        raise ArithmeticError("membership certificate does not reproduce the target")
+    return MembershipResult(True, certificate)

@@ -7,6 +7,16 @@ all follow graded-lex order (weighted degree first, then lexicographic on
 exponent vectors, largest first), so every rendering of a value is
 deterministic.
 
+There are two ways to build a polynomial.  The public constructor validates
+its input (exponent arity, no negative exponents, coefficients normalised
+into the ring, repeated exponents merged); everything built from outside
+input goes through it: :func:`parse`, config presentations and the
+``constant``/``variable``/``linear_form`` helpers.  Results of arithmetic on
+canonical operands (``+``, ``-``, ``*``, ``**``, derivatives and
+:meth:`RingMap.apply`) go through the private ``Polynomial._clean``
+instead, which trusts the exponent tuples and only drops zero coefficients
+and, over Z/m, reduces residues.
+
 The text format used in reports is ``coeff*var^exp`` with explicit ``*`` and
 ``^``, e.g. ``2*x1^3 - 9*x1*x2 + 27*x3``; :func:`parse` inverts
 :meth:`Polynomial.render` exactly.
@@ -15,6 +25,7 @@ The text format used in reports is ``coeff*var^exp`` with explicit ``*`` and
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -168,6 +179,26 @@ class Polynomial:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", cleaned)
 
+    @classmethod
+    def _clean(cls, ctx: VariableContext, ring: CoefficientRing,
+               terms: dict[Exponent, int]) -> "Polynomial":
+        """Wrap an arithmetic result whose exponents are already canonical.
+
+        Only for terms computed from canonical operands: the exponent tuples
+        are trusted as they are, so this drops zero coefficients and, over
+        Z/m, reduces residues into [0, m), and checks nothing else.
+        """
+        m = ring.modulus
+        if m is None:
+            cleaned = {e: c for e, c in terms.items() if c}
+        else:
+            cleaned = {e: r for e, c in terms.items() if (r := c % m)}
+        self = object.__new__(cls)
+        object.__setattr__(self, "context", ctx)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "terms", cleaned)
+        return self
+
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Polynomial is immutable")
 
@@ -200,6 +231,8 @@ class Polynomial:
     # ---- basic protocol -------------------------------------------------------
 
     def _check_compatible(self, other: "Polynomial") -> None:
+        if self.context is other.context and self.ring is other.ring:
+            return
         if self.context != other.context:
             raise ContextMismatchError(
                 f"contexts differ: {self.context.names} vs {other.context.names}")
@@ -225,11 +258,11 @@ class Polynomial:
         out = dict(self.terms)
         for exp, c in other.terms.items():
             out[exp] = out.get(exp, 0) + c
-        return Polynomial(self.context, self.ring, out)
+        return Polynomial._clean(self.context, self.ring, out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.context, self.ring,
-                          {e: -c for e, c in self.terms.items()})
+        return Polynomial._clean(self.context, self.ring,
+                                 {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -238,17 +271,19 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Polynomial(self.context, self.ring,
-                              {e: c * other for e, c in self.terms.items()})
+            return Polynomial._clean(self.context, self.ring,
+                                     {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        out: dict[Exponent, object] = {}
+        out: dict[Exponent, int] = {}
+        get = out.get
+        add = operator.add
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return Polynomial(self.context, self.ring, out)
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        return Polynomial._clean(self.context, self.ring, out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -301,14 +336,14 @@ class Polynomial:
     # ---- calculus -------------------------------------------------------------
 
     def derivative(self, i: int) -> "Polynomial":
-        out: dict[Exponent, object] = {}
+        out: dict[Exponent, int] = {}
         for e, c in self.terms.items():
             if e[i] > 0:
                 ne = list(e)
                 ne[i] -= 1
                 key = tuple(ne)
                 out[key] = out.get(key, 0) + c * e[i]
-        return Polynomial(self.context, self.ring, out)
+        return Polynomial._clean(self.context, self.ring, out)
 
     def directional_derivative(self, direction: Sequence[int]) -> "Polynomial":
         if len(direction) != self.context.arity:
@@ -367,30 +402,37 @@ class RingMap:
             if img.ring != self.target_ring:
                 raise RingMismatchError("image not over target ring")
 
-    def _convert_coeff(self, c, source_ring: CoefficientRing):
-        if source_ring == self.target_ring:
-            return c
-        if source_ring.kind == "Z":
-            return self.target_ring.normalize(c)
-        raise RingMismatchError(
-            f"cannot map coefficients from {source_ring} into {self.target_ring}")
-
     def apply(self, p: Polynomial) -> Polynomial:
+        """Substitute the images into ``p`` in one pass.
+
+        Each term's coefficient times the product of cached image powers is
+        accumulated into one dict, which is cleaned once at the end.  A
+        source over Z maps into any target ring (reduced by the final
+        clean); otherwise the rings must agree.
+        """
         if p.context != self.source:
             raise ContextMismatchError("polynomial not over the map's source context")
-        one = Polynomial.constant(self.target, 1, self.target_ring)
-        powers: list[list[Polynomial]] = [[one] for _ in range(self.source.arity)]
-        result = Polynomial.zero(self.target, self.target_ring)
+        if p.ring != self.target_ring and p.ring.kind != "Z":
+            raise RingMismatchError(
+                f"cannot map coefficients from {p.ring} into {self.target_ring}")
+        powers = [[img] for img in self.images]  # powers[i][k] = images[i]^(k+1)
+        constant = (0,) * self.target.arity
+        out: dict[Exponent, int] = {}
+        get = out.get
         for exp, c in p.terms.items():
-            term = Polynomial.constant(self.target, self._convert_coeff(c, p.ring),
-                                       self.target_ring)
+            term = None
             for i, e in enumerate(exp):
-                cache = powers[i]
-                while len(cache) <= e:
-                    cache.append(cache[-1] * self.images[i])
-                term = term * cache[e]
-            result = result + term
-        return result
+                if e:
+                    cache = powers[i]
+                    while len(cache) < e:
+                        cache.append(cache[-1] * cache[0])
+                    term = cache[e - 1] if term is None else term * cache[e - 1]
+            if term is None:
+                out[constant] = get(constant, 0) + c
+            else:
+                for e2, c2 in term.terms.items():
+                    out[e2] = get(e2, 0) + c * c2
+        return Polynomial._clean(self.target, self.target_ring, out)
 
 
 # ---- text format --------------------------------------------------------------

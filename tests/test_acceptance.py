@@ -38,6 +38,7 @@ from pgl3chow.repcalc import (
     subtract,
     trivial,
 )
+from test_intlinalg import assert_right_transform_certifies
 
 
 def _verdict_line(number: int, name: str, ok: bool) -> None:
@@ -282,18 +283,10 @@ def test_criterion_11_property_suites():
             assert restrict_poly(chern_class(r, i), lattice_map) == \
                 chern_class(restrict_rep(r, lattice_map), i)
 
-    for _ in range(N_INSTANCES):  # SNF certifying identities
+    for _ in range(N_INSTANCES):  # SNF certificates of the right transform
         a = _random_matrix(rng)
-        form = la.smith_normal_form(a)
-        rows, cols = len(a), len(a[0])
-        diag = [[form.diag[i] if i == j and i < len(form.diag) else 0
-                 for j in range(cols)] for i in range(rows)]
-        assert la.matmul(la.matmul(form.left, a), form.right) == diag
-        assert abs(la.bareiss_determinant(form.left)) == 1
-        assert abs(la.bareiss_determinant(form.right)) == 1
-        nonzero = [d for d in form.diag if d]
-        for small, big in zip(nonzero, nonzero[1:]):
-            assert big % small == 0
+        diag, right_t = la._smith_reduce(a, with_right=True)
+        assert_right_transform_certifies(a, diag, right_t)
 
     for _ in range(N_INSTANCES):  # kernel saturation
         a = _random_matrix(rng)

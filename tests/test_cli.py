@@ -7,7 +7,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from pgl3chow import cli
-from pgl3chow.config import ConfigError, parse_config
+from pgl3chow.config import MAX_DEGREE, ConfigError, check_degree_bound, parse_config
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +84,30 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "--name", "gamma-generation",
                                "--max-degree", "-1")
         assert code == 2
+
+    def test_degree_limit(self, capsys, tmp_path):
+        # Only the limit check sees MAX_DEGREE; nothing runs at that bound.
+        assert check_degree_bound(MAX_DEGREE, "--max-degree") == MAX_DEGREE
+        assert check_degree_bound(0, "--max-degree") == 0
+        for bad in (-1, MAX_DEGREE + 1):
+            with pytest.raises(ConfigError, match=f"between 0 and {MAX_DEGREE}"):
+                check_degree_bound(bad, "--max-degree")
+        text = "[options]\nmax-degree gamma-generation = {}\n"
+        assert parse_config(text.format(MAX_DEGREE)).max_degree_overrides == {
+            "gamma-generation": MAX_DEGREE}
+        with pytest.raises(ConfigError, match="line 2: max-degree must be between"):
+            parse_config(text.format(MAX_DEGREE + 1))
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text(text.format(MAX_DEGREE + 1))
+        over = str(MAX_DEGREE + 1)
+        for argv in (("check", "--name", "gamma-generation", "--max-degree", over),
+                     ("check", "--all", "--max-degree", over),
+                     ("hilbert", "--spec", "builtin:Rstar", "--max-degree", over),
+                     ("--config", str(cfg), "check", "--name", "gamma-generation")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert f"must be between 0 and {MAX_DEGREE}, got {over}" in err
 
     def test_missing_selection_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "check")

@@ -1,82 +1,91 @@
 """Smith and Hermite normal forms, invariant factors, kernels, membership."""
 
+import math
+
 import pytest
 
 from pgl3chow import intlinalg as la
 
 
-def as_diag_matrix(diag, rows, cols):
-    return [[diag[i] if i == j and i < len(diag) else 0 for j in range(cols)]
-            for i in range(rows)]
+def smith_diag(a):
+    diag, _ = la._smith_reduce(a, with_right=False)
+    return diag
+
+
+def assert_right_transform_certifies(a, diag, right_t):
+    """Check ``a·right == left⁻¹·diag`` without a left transform.
+
+    ``right`` must be unimodular, and column j of ``a·right`` must be d_j
+    times a column of the unimodular ``left⁻¹``, which is primitive: its
+    content is d_j, and it is zero beyond the rank.
+    """
+    assert abs(la.bareiss_determinant(right_t)) == 1
+    product = la.matmul(a, la.transpose(right_t))
+    for j, column in enumerate(zip(*product)):
+        assert math.gcd(*column) == (diag[j] if j < len(diag) else 0)
+    nonzero = [d for d in diag if d]
+    for small, big in zip(nonzero, nonzero[1:]):
+        assert big % small == 0
+    assert all(d >= 0 for d in diag)
 
 
 class TestSmith:
     def test_diag_2_3(self):
-        form = la.smith_normal_form([[2, 0], [0, 3]])
-        assert form.diag == (1, 6)
+        assert smith_diag([[2, 0], [0, 3]]) == (1, 6)
 
     def test_zero_matrix(self):
-        form = la.smith_normal_form([[0, 0, 0], [0, 0, 0]])
-        assert form.diag == (0, 0)
+        assert smith_diag([[0, 0, 0], [0, 0, 0]]) == (0, 0)
 
     def test_identity(self):
-        form = la.smith_normal_form(la.identity(4))
-        assert form.diag == (1, 1, 1, 1)
+        assert smith_diag(la.identity(4)) == (1, 1, 1, 1)
 
     def test_certifying_identity(self):
         a = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-        form = la.smith_normal_form(a)
-        product = la.matmul(la.matmul(form.left, a), form.right)
-        assert product == as_diag_matrix(form.diag, 3, 3)
-        assert abs(la.bareiss_determinant(form.left)) == 1
-        assert abs(la.bareiss_determinant(form.right)) == 1
+        diag, right_t = la._smith_reduce(a, with_right=True)
+        assert diag == (2, 2, 156)
+        assert_right_transform_certifies(a, diag, right_t)
 
     def test_divisibility_chain(self):
-        form = la.smith_normal_form([[6, 0], [0, 4]])
-        assert form.diag == (2, 12)
+        assert smith_diag([[6, 0], [0, 4]]) == (2, 12)
 
     def test_golden_transforms(self):
         # The first unit (row 1, column 2) comes after larger entries in
-        # row-major order; diag and both transforms are pinned, not only
-        # their certifying identity.
+        # row-major order; diag and the right transform are pinned, not only
+        # their certificate.
         a = [[6, 4, 10, 8], [4, -3, 1, 2], [8, 6, 14, 12], [2, 4, 2, 4],
              [9, 3, 15, 6]]
-        form = la.smith_normal_form(a)
-        assert form.diag == (1, 1, 2, 4)
-        assert form.left == [[0, 1, 0, 0, 0],
-                             [0, -37, 0, 26, -1],
-                             [-11, -32086, 0, 22548, -860],
-                             [49, -824, -28, 573, -28],
-                             [-132, 6, 75, 12, 16]]
-        assert form.right == [[0, 107, 52, -4080],
-                              [0, 53, 27, -2118],
-                              [1, -269, -105, 8248],
-                              [0, 0, -11, 859]]
+        diag, right_t = la._smith_reduce(a, with_right=True)
+        assert diag == (1, 1, 2, 4)
+        assert la.transpose(right_t) == [[0, 107, 52, -4080],
+                                         [0, 53, 27, -2118],
+                                         [1, -269, -105, 8248],
+                                         [0, 0, -11, 859]]
+        assert la._smith_reduce(a, with_right=False) == (diag, None)
 
 
 class TestInvariantFactors:
     def test_content_division_needs_no_dense_form(self, monkeypatch):
         # No unit: divide by the content 2, pivot on the 1, and the 1x1
         # remainder -2 has content 2 again.
-        def dense(a):
+        def dense(a, with_right):
             raise AssertionError("dense Smith form reached")
-        monkeypatch.setattr(la, "smith_normal_form", dense)
+        monkeypatch.setattr(la, "_smith_reduce", dense)
         assert la.invariant_factors([[2, 4], [6, 8]]) == (2, 4)
 
     def test_dense_remainder_scaled(self, monkeypatch):
         a = [[2, 0, 0], [0, 4, 6], [0, 6, 4]]
-        expected = la.smith_normal_form(a).diag
+        expected = smith_diag(a)
         seen = []
-        dense = la.smith_normal_form
+        dense = la._smith_reduce
 
-        def spy(rest):
-            seen.append(rest)
-            return dense(rest)
-        monkeypatch.setattr(la, "smith_normal_form", spy)
+        def spy(rest, with_right):
+            seen.append((rest, with_right))
+            return dense(rest, with_right)
+        monkeypatch.setattr(la, "_smith_reduce", spy)
         # Content 2, one unit pivot, then [[2, 3], [3, 2]]: content 1 and
         # no unit, so it goes to the dense form, scaled back by 2.
         assert la.invariant_factors(a) == expected == (2, 2, 10)
-        assert seen == [[[2, 3], [3, 2]]]
+        assert seen == [([[2, 3], [3, 2]], False)]
 
     def test_empty_and_zero(self):
         assert la.invariant_factors([]) == ()
@@ -112,10 +121,10 @@ class TestKernel:
     def test_certificate_failure_raises(self, monkeypatch):
         reduce = la._smith_reduce
 
-        def corrupted(a, with_left):
-            diag, left, right_t = reduce(a, with_left)
+        def corrupted(a, with_right):
+            diag, right_t = reduce(a, with_right)
             right_t[-1] = [1] + [0] * (len(right_t) - 1)
-            return diag, left, right_t
+            return diag, right_t
 
         monkeypatch.setattr(la, "_smith_reduce", corrupted)
         with pytest.raises(ArithmeticError):
@@ -152,6 +161,29 @@ class TestMembership:
     def test_dimension_mismatch(self):
         with pytest.raises(la.DimensionMismatchError):
             la.membership([1, 0, 0], [[1, 0]])
+
+    def test_wrong_certificate_raises(self, monkeypatch):
+        solve = la.solve_left
+
+        def off_by_one(target, gens):
+            x = solve(target, gens)
+            return None if x is None else [x[0] + 1] + x[1:]
+
+        monkeypatch.setattr(la, "solve_left", off_by_one)
+        with pytest.raises(ArithmeticError):
+            la.membership([1, 1], [[1, 0], [0, 1]])
+        with pytest.raises(ArithmeticError):
+            la.membership([1, 2], [[2, 1]], modulus=3)
+        # A non-member is answered without a certificate to check.
+        assert not la.membership([1, 0], [[2, 0]]).member
+
+    def test_modular_certificate_checked_mod_m(self, monkeypatch):
+        # A certificate off by the modulus still reproduces the target mod m.
+        solve = la.solve_left
+        monkeypatch.setattr(la, "solve_left",
+                            lambda t, g: [c + 3 for c in solve(t, g)])
+        result = la.membership([1, 2], [[2, 1]], modulus=3)
+        assert result.member and result.certificate == (2,)
 
 
 class TestSolvers:

@@ -70,6 +70,25 @@ class TestArithmetic:
         assert rebuilt == g2
         assert rebuilt.terms == g2.terms
 
+    def test_constructor_validates_input(self):
+        with pytest.raises(ValueError, match="wrong arity"):
+            Polynomial(X3, INTEGERS, {(1, 0): 1})
+        with pytest.raises(ValueError, match="negative exponent"):
+            Polynomial(X3, INTEGERS, {(1, -1, 0): 1})
+        p = Polynomial(X3, integers_mod(3), {(1, 0, 0): 7, (0, 1, 0): 3,
+                                             (0, 0, 1): -1})
+        assert p.terms == {(1, 0, 0): 1, (0, 0, 1): 2}
+
+    def test_cancellation_leaves_no_zero_terms(self):
+        for ring in (INTEGERS, integers_mod(3), integers_mod(4)):
+            x = Polynomial.variable(X3, "x1", ring)
+            one = Polynomial.constant(X3, 1, ring)
+            zero = (x + one) * (x - one) - x ** 2 + one
+            assert zero.terms == {}
+        x = Polynomial.variable(X3, "x1", integers_mod(3))
+        assert (3 * x).terms == (x * 3).terms == (x + x + x).terms == {}
+        assert (-x).terms == {(1, 0, 0): 2}
+
 
 class TestSubstitution:
     def test_two_variable_gamma2(self):
@@ -92,6 +111,15 @@ class TestSubstitution:
         u3 = Polynomial.variable(ctx, "u3")
         rm = RingMap(ctx, ctx, (u1, u2, -u1 - u2), INTEGERS)
         assert not rm.apply(u1 + u2 + u3)
+
+    def test_reduction_cancels_multiples_of_the_modulus(self):
+        ring = integers_mod(3)
+        red = RingMap(X3, X3, xvars(ring), ring)
+        x1, x2, _ = xvars()
+        assert red.apply(3 * x1 ** 2 - 6 * x1 * x2 + 4 * x2).terms == {(0, 1, 0): 1}
+        z3 = Polynomial.zero(X3, ring)
+        with pytest.raises(RingMismatchError):
+            RingMap(X3, X3, xvars(), INTEGERS).apply(z3)
 
     def test_reduction_compatibility(self):
         g2, g3, _ = gammas()

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from pgl3chow import intlinalg as la
 from pgl3chow.checks import s3_on_u, s3_on_x
-from pgl3chow.poly import INTEGERS, Polynomial, RingMap, context, parse
+from pgl3chow.poly import INTEGERS, Polynomial, RingMap, context, integers_mod, parse
 from pgl3chow.repcalc import (
     T_GL3,
     TO_SL3,
@@ -17,6 +17,7 @@ from pgl3chow.repcalc import (
     restrict_poly,
     restrict_rep,
 )
+from test_intlinalg import assert_right_transform_certifies
 
 LAW_SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -24,11 +25,11 @@ X3 = T_GL3.ctx
 XY = context(("x", "y"))
 
 
-def polynomials(ctx, max_exp=3, max_terms=4, coeff_bound=9):
+def polynomials(ctx, max_exp=3, max_terms=4, coeff_bound=9, ring=INTEGERS):
     exponents = st.tuples(*(st.integers(0, max_exp) for _ in range(ctx.arity)))
     return st.dictionaries(exponents, st.integers(-coeff_bound, coeff_bound),
                            max_size=max_terms).map(
-        lambda terms: Polynomial(ctx, INTEGERS, terms))
+        lambda terms: Polynomial(ctx, ring, terms))
 
 
 def image_polynomials():
@@ -153,17 +154,8 @@ class TestNormalFormLaws:
     @LAW_SETTINGS
     @given(int_matrices())
     def test_snf_certifying_identity(self, a):
-        form = la.smith_normal_form(a)
-        rows, cols = len(a), len(a[0])
-        diag = [[form.diag[i] if i == j and i < len(form.diag) else 0
-                 for j in range(cols)] for i in range(rows)]
-        assert la.matmul(la.matmul(form.left, a), form.right) == diag
-        assert abs(la.bareiss_determinant(form.left)) == 1
-        assert abs(la.bareiss_determinant(form.right)) == 1
-        nonzero = [d for d in form.diag if d]
-        for small, big in zip(nonzero, nonzero[1:]):
-            assert big % small == 0
-        assert all(d >= 0 for d in form.diag)
+        diag, right_t = la._smith_reduce(a, with_right=True)
+        assert_right_transform_certifies(a, diag, right_t)
 
     @LAW_SETTINGS
     @given(int_matrices())
@@ -179,16 +171,15 @@ class TestNormalFormLaws:
     @given(salted_matrices())
     def test_invariant_factors_match_smith_and_rational_rank(self, a):
         factors = la.invariant_factors(a)
-        assert factors == la.smith_normal_form(a).diag
+        assert factors == la._smith_reduce(a, with_right=False)[0]
         assert la.rank_over_q(a) == sum(1 for d in factors if d)
 
     @LAW_SETTINGS
     @given(int_matrices())
     def test_kernel_is_smith_right_columns_beyond_rank(self, a):
-        form = la.smith_normal_form(a)
-        r = sum(1 for d in form.diag if d)
-        columns = [list(col) for col in zip(*form.right)]
-        assert la.kernel_basis(a) == columns[r:]
+        diag, right_t = la._smith_reduce(a, with_right=True)
+        r = sum(1 for d in diag if d)
+        assert la.kernel_basis(a) == right_t[r:]
 
     @LAW_SETTINGS
     @given(int_matrices())
@@ -213,7 +204,47 @@ class TestNormalFormLaws:
         assert recombined == target
 
 
+RINGS = (INTEGERS, integers_mod(3), integers_mod(4))
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """A ring from RINGS and two small polynomials over it in x, y, with
+    few exponents and coefficients so that sums and products cancel."""
+    ring = draw(st.sampled_from(RINGS))
+    small = polynomials(XY, max_exp=2, max_terms=4, coeff_bound=4, ring=ring)
+    return ring, draw(small), draw(small)
+
+
+def assert_canonical(r, ring):
+    """No zero coefficient, residues in [0, m), and unchanged by the
+    validating constructor."""
+    assert r.ring == ring
+    for c in r.terms.values():
+        assert c != 0
+        assert ring.modulus is None or 0 <= c < ring.modulus
+    assert r == Polynomial(r.context, ring, dict(r.terms))
+
+
 class TestCanonicalForms:
+    @LAW_SETTINGS
+    @given(polynomial_pairs(), st.integers(-6, 6), st.integers(0, 3),
+           st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    def test_arithmetic_results_are_canonical(self, drawn, k, n, direction):
+        ring, p, q = drawn
+        for r in (p + q, p - q, -p, p * k, k * p, p * q, p ** n,
+                  p.derivative(0), p.derivative(1),
+                  p.directional_derivative(direction)):
+            assert_canonical(r, ring)
+
+    @LAW_SETTINGS
+    @given(polynomials(X3, coeff_bound=6), ring_maps())
+    def test_ring_map_results_are_canonical(self, p, rm):
+        assert_canonical(rm.apply(p), INTEGERS)
+        ring = integers_mod(3)
+        images = tuple(Polynomial(XY, ring, dict(img.terms)) for img in rm.images)
+        assert_canonical(RingMap(X3, XY, images, ring).apply(p), ring)
+
     @LAW_SETTINGS
     @given(polynomials(X3))
     def test_renormalization_is_identity(self, p):
