@@ -33,8 +33,8 @@ from .groups import (
     symmetric_group_s3,
     transported_group,
 )
-from .poly import INTEGERS, Polynomial, context, parse
-from .presented import graded_component, rational_rank_table, rstar_presentation
+from .poly import INTEGERS, NotHomogeneousError, Polynomial, context, parse
+from .presented import component_of_rows, relation_rows, rstar_presentation
 from .repcalc import (
     A3MU3_AB,
     T_GL3,
@@ -258,29 +258,37 @@ def _molien_ranks(group: MatrixGroup, bound: int) -> list[int]:
     return ranks
 
 
-def _gamma_span_vectors(gammas: Mapping[str, Polynomial],
-                        bound: int) -> list[list[list[int]]]:
-    """Coefficient vectors of the monomials ``gamma2^a * gamma3^b * gamma6^c``
-    of each degree ``0..bound``, one list per degree.
+def _gamma_span_vectors(gammas: Mapping[str, Polynomial], bound: int
+                        ) -> list[tuple[int, list[dict[int, int]]]]:
+    """The monomials ``gamma2^a * gamma3^b * gamma6^c`` of each degree
+    ``0..bound`` as sparse ``{column: coefficient}`` rows over the degree-d
+    monomial basis, one ``(width of the basis, rows)`` pair per degree.
 
     Each monomial is formed once, as a monomial of lower degree times a
     single gamma (``gamma2`` while ``a > 0``, then ``gamma3``, then
     ``gamma6``), so powers and products are shared across monomials and
-    degrees and every product has a small factor.
+    degrees and every product has a small factor.  The gammas are checked
+    to be homogeneous of their degrees, so every product lies in the span
+    of its degree's basis.
     """
     gen_ctx = context(("g2", "g3", "g6"), (2, 3, 6))
     factors = (gammas["gamma2"], gammas["gamma3"], gammas["gamma6"])
-    products = {(0, 0, 0): Polynomial.constant(factors[0].context, 1)}
+    for g, w in zip(factors, gen_ctx.weights):
+        if not g.is_homogeneous(w):
+            raise NotHomogeneousError(f"not homogeneous of degree {w}: {g.render()}")
+    ctx = factors[0].context
+    products = {(0, 0, 0): Polynomial.constant(ctx, 1)}
     out = []
     for d in range(bound + 1):
-        vectors = []
+        index = {e: i for i, e in enumerate(ctx.monomials_of_degree(d))}
+        rows = []
         for exp in gen_ctx.monomials_of_degree(d):
             if exp not in products:
                 i = next(i for i, e in enumerate(exp) if e)
                 lower = exp[:i] + (exp[i] - 1,) + exp[i + 1:]
                 products[exp] = products[lower] * factors[i]
-            vectors.append(products[exp].coefficient_vector(d)[1])
-        out.append(vectors)
+            rows.append({index[e]: c for e, c in products[exp].terms.items()})
+        out.append((len(index), rows))
     return out
 
 
@@ -324,8 +332,8 @@ def _check_gamma_generation(bound: int) -> tuple[bool, Witnesses]:
     ranks = _molien_ranks(s3_on_xy(), bound)
     spans = _gamma_span_vectors(gammas, bound)
     summary = []
-    for d, (rank, span) in enumerate(zip(ranks, spans)):
-        factors = [f for f in intlinalg.invariant_factors(span) if f]
+    for d, (rank, (width, span)) in enumerate(zip(ranks, spans)):
+        factors = [f for f in intlinalg.invariant_factors(span, width) if f]
         non_units = [f for f in factors if f != 1]
         if non_units or len(factors) != rank:
             wit.append((f"counterexample at degree {d}",
@@ -759,28 +767,65 @@ def _check_regular_rep_vanishing(max_degree: int | None) -> tuple[bool, Witnesse
     return ok, wit
 
 
-def _count_rational_monomials(d: int) -> int:
-    return sum(1 for a in range(d // 2 + 1) if (d - 2 * a) % 3 == 0)
+def _partition_series(parts: Sequence[int], bound: int) -> list[int]:
+    """``[t^d] prod_k 1/(1 - t^k)`` over ``k`` in ``parts``, for
+    ``d = 0..bound``: the number of monomials of degree ``d`` in generators
+    of degrees ``parts``, exactly in integers."""
+    coeffs = [1] + [0] * bound
+    for k in parts:
+        for n in range(k, bound + 1):
+            coeffs[n] += coeffs[n - k]
+    return coeffs
 
 
 def _check_rstar_structure(bound: int) -> tuple[bool, Witnesses]:
+    """Certify the graded components of ``R*`` degree by degree up to
+    ``bound``: free rank, rational rank and the whole torsion table.
+
+    * ``R* ⊗ Q = Q[lam, c3]``, so the free rank of ``R*_d`` is
+      ``f_d = [t^d] 1/((1-t^2)(1-t^3))``.
+    * Mod 3 the relations ``3*rho``, ``3*chi``, ``3*c8`` and
+      ``81*c6 - 3*c3^2 - 12*lam^3`` vanish, and ``rho^2 - c8`` eliminates
+      ``c8``, so ``R*/3R* = F3[lam, c3, rho, chi, c6]`` and
+      ``dim_F3 R*_d/3 = m_d = [t^d] 1/((1-t^2)(1-t^3)(1-t^4)(1-t^6)^2)``.
+    * ``R*_d/3`` has one ``F3`` per free summand and per cyclic summand of
+      order divisible by 3.  So ``R*_d`` has ``m_d - f_d`` such summands,
+      and when every invariant factor is 3 its torsion is exactly
+      ``(Z/3)^(m_d - f_d)``: a table derived in closed form, which the
+      Smith invariant factors of the relation rows must match.
+
+    The relation rows of each degree are built once and read both by the
+    Smith route and by the rational-rank cross-check.  A degree off the
+    predicted table adds a counterexample witness; a pass adds none.
+    """
     pres = rstar_presentation()
-    ranks = dict(rational_rank_table(pres, bound))
+    free_ranks = _partition_series((2, 3), bound)
+    mod3_dims = _partition_series((2, 3, 4, 6, 6), bound)
     ok = True
     wit: Witnesses = []
     lines = []
     for d in range(bound + 1):
-        comp = graded_component(pres, d)
-        expected = _count_rational_monomials(d)
+        basis, rows = relation_rows(pres, d)
+        comp = component_of_rows(d, basis, rows)
+        # rank_over_q is the independent cross-check of the Smith-form rank:
+        # its elimination shares no code with invariant_factors.
+        rational = len(basis) - intlinalg.rank_over_q(rows)
+        expected = free_ranks[d]
         lines.append(f"{d}: {comp.render()}")
         if comp.free_rank != expected:
             ok = False
             wit.append((f"counterexample free rank at degree {d}",
                         f"free rank {comp.free_rank}, expected {expected}"))
-        if ranks[d] != comp.free_rank:
+        if rational != comp.free_rank:
             ok = False
             wit.append((f"counterexample rational rank at degree {d}",
-                        f"rational {ranks[d]}, free {comp.free_rank}"))
+                        f"rational {rational}, free {comp.free_rank}"))
+        threes = mod3_dims[d] - expected
+        if comp.torsion != (3,) * threes:
+            ok = False
+            wit.append((f"counterexample torsion at degree {d}",
+                        f"invariant factors {comp.torsion}, expected {threes} "
+                        f"factors equal to 3"))
         if d == 4 and comp.torsion != (3,):
             ok = False
             wit.append(("counterexample degree-4 torsion",

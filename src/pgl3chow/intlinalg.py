@@ -1,16 +1,19 @@
 """Exact integer matrix normal forms, invariant factors, kernels and lattice
 membership.
 
-Everything here works on row-major ``list[list[int]]`` matrices with plain
-Python integers, so intermediate values never overflow.  The one Smith
-elimination pivots on the minimal nonzero entry, taking the first unit it
-meets, and never builds a left transform; :func:`kernel_basis` keeps its
-right transform and certifies ``A·v == 0`` for every kernel vector.
-:func:`invariant_factors` builds no transforms: on sparse rows it eliminates
-±1 pivots, deleting each pivot's row and column, and divides the remainder
-by its content whenever no unit is left (SNF(g·B) = g·SNF(B)); only a
-remainder of content 1 without a unit goes through the dense elimination.
-:func:`rank_over_q` is the independent cross-check of the Smith-form rank.
+Entries are plain Python integers, so intermediate values never overflow.
+:func:`invariant_factors` and :func:`rank_over_q` read sparse rows, one
+``{column: value}`` dict per row in which a zero value counts as absent
+(:data:`SparseRow`), and work on copies, so shared rows come back unchanged;
+everything else works on row-major ``list[list[int]]`` matrices.  The one Smith elimination pivots on the minimal nonzero entry,
+taking the first unit it meets, and never builds a left transform;
+:func:`kernel_basis` keeps its right transform and certifies ``A·v == 0``
+for every kernel vector.  :func:`invariant_factors` builds no transforms: it
+eliminates ±1 pivots, deleting each pivot's row and column, and divides the
+remainder by its content whenever no unit is left (SNF(g·B) = g·SNF(B));
+only a remainder of content 1 without a unit goes through the dense
+elimination.  :func:`rank_over_q` is the independent cross-check of the
+Smith-form rank.
 Hermite normal form is the canonical row-echelon form (positive pivots,
 entries above a pivot reduced into ``[0, pivot)``); :func:`solve_left`
 decides membership by back-substitution against it, and :func:`membership`
@@ -23,10 +26,11 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 Matrix = list[list[int]]
 Vector = list[int]
+SparseRow = Mapping[int, int]
 
 
 class DimensionMismatchError(ValueError):
@@ -192,12 +196,16 @@ def _smith_reduce(a: Sequence[Sequence[int]], with_right: bool
     return tuple(d[i][i] for i in range(k)), right_t
 
 
-def invariant_factors(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Smith invariant factors of ``a``: the divisibility chain, then zeros,
-    ``min(rows, cols)`` entries in all, equal to the diagonal of the dense
-    Smith elimination of ``a``.
+def invariant_factors(rows: Sequence[SparseRow], cols: int) -> tuple[int, ...]:
+    """Smith invariant factors of the ``len(rows) x cols`` matrix whose rows
+    are the sparse ``rows``: the divisibility chain, then zeros,
+    ``min(len(rows), cols)`` entries in all, equal to the diagonal of the
+    dense Smith elimination of the matrix.
 
-    Rows are kept as sparse ``{col: value}`` dicts.  A pivot of value ±1 is
+    Each row is a ``{col: value}`` dict with ``0 <= col < cols``; a column
+    out of range raises :class:`DimensionMismatchError`.  The elimination
+    works on copies of the rows (``dict(row)``, O(nonzeros) each; zero
+    values dropped), so the caller's rows come back unchanged.  A pivot of value ±1 is
     eliminated with its row and column deleted, and contributes one factor
     equal to the current scale.  When no unit is left, the remainder is
     divided by its content ``g > 1`` and the scale multiplied by ``g``, which
@@ -205,17 +213,18 @@ def invariant_factors(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
     without a unit goes to the dense Smith elimination, which builds no
     transform.
     """
-    cols = len(a[0]) if a else 0
-    if any(len(row) != cols for row in a):
-        raise DimensionMismatchError("ragged matrix")
     live: dict[int, dict[int, int]] = {}
     where: dict[int, set[int]] = {}  # column -> live rows nonzero there
-    for i, row in enumerate(a):
-        entries = {j: int(x) for j, x in enumerate(row) if x}
+    for i, row in enumerate(rows):
+        entries = dict(row)
+        if 0 in entries.values():
+            entries = {j: x for j, x in entries.items() if x}
         if entries:
             live[i] = entries
             for j in entries:
                 where.setdefault(j, set()).add(i)
+    if where and (min(where) < 0 or max(where) >= cols):
+        raise DimensionMismatchError(f"a row has a column outside 0..{cols - 1}")
     factors: list[int] = []
     scale = 1
     while live:
@@ -237,7 +246,7 @@ def invariant_factors(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
         dense = [[entries.get(j, 0) for j in rest] for entries in live.values()]
         diag, _ = _smith_reduce(dense, with_right=False)
         factors.extend(scale * x for x in diag if x)
-    return tuple(factors) + (0,) * (min(len(a), cols) - len(factors))
+    return tuple(factors) + (0,) * (min(len(rows), cols) - len(factors))
 
 
 def _unit_pivots(live: dict[int, dict[int, int]],
@@ -286,17 +295,22 @@ def _unit_pivots(live: dict[int, dict[int, int]],
     return count
 
 
-def rank_over_q(a: Sequence[Sequence[int]]) -> int:
-    """Row rank over Q; the cross-check of the Smith-form rank.
+def rank_over_q(rows: Iterable[SparseRow]) -> int:
+    """Row rank over Q of the sparse ``{col: value}`` rows; the cross-check
+    of the Smith-form rank.
 
     Fraction-free integer forward elimination, independent of the Smith
     code: each row is reduced against an echelon basis keyed by leading
     column, divided by its content after each step, and joins the basis when
-    its leading column is new.  There is no back-substitution.
+    its leading column is new.  There is no back-substitution.  Each row is
+    read into a copy (zero values dropped), and every reduction step builds
+    a new dict, so the caller's rows come back unchanged.
     """
     echelon: dict[int, dict[int, int]] = {}
-    for row in a:
-        entries = {j: int(x) for j, x in enumerate(row) if x}
+    for row in rows:
+        entries = dict(row)
+        if 0 in entries.values():
+            entries = {j: x for j, x in entries.items() if x}
         while entries:
             lead = min(entries)
             base = echelon.get(lead)

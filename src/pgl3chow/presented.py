@@ -5,7 +5,9 @@ lattice on degree-d generator monomials by the span of every product
 relation * monomial landing in degree d; since the relation ideal is
 homogeneous this span is exactly the ideal's degree-d part, so a Smith normal
 form gives the component's free rank and invariant factors without any
-Groebner machinery.
+Groebner machinery.  The products are built as sparse ``{column: value}``
+rows, the input format of :func:`intlinalg.invariant_factors` and
+:func:`intlinalg.rank_over_q`, so one set of rows per degree can feed both.
 """
 
 from __future__ import annotations
@@ -70,57 +72,47 @@ class GradedComponent:
         return " ⊕ ".join(parts) if parts else "0"
 
 
-def relation_rows(pres: RingPresentation, d: int) -> tuple[tuple[Exponent, ...],
-                                                           intlinalg.Matrix]:
-    """Degree-d monomial basis and the matrix of relation*monomial products.
+def relation_rows(pres: RingPresentation, d: int
+                  ) -> tuple[tuple[Exponent, ...], list[dict[int, int]]]:
+    """Degree-d monomial basis and the sparse rows of the relation*monomial
+    products, one ``{column: value}`` dict per product.
 
-    The row of ``rel * mono`` has the coefficient of each term ``e`` of
-    ``rel`` at the index of ``mono + e``; distinct terms land on distinct
-    monomials, so no entries add.
+    The row of ``rel * mono`` maps the index of ``mono + e`` to the
+    coefficient of each term ``e`` of ``rel``; distinct terms land on
+    distinct monomials, so no entries add, and the coefficients of a
+    polynomial are nonzero, so neither are the entries.  A row has as many
+    entries as its relation has terms, whatever the width of the basis.
     """
     ctx = pres.context
     basis = ctx.monomials_of_degree(d)
     index = {e: i for i, e in enumerate(basis)}
-    rows: intlinalg.Matrix = []
+    rows: list[dict[int, int]] = []
     for rel in pres.relations:
         rel_degree = rel.weighted_degree()
         if rel_degree is None or rel_degree > d:
             continue
+        terms = rel.terms.items()
         for mono in ctx.monomials_of_degree(d - rel_degree):
-            row = [0] * len(basis)
-            for e, c in rel.terms.items():
-                row[index[tuple(map(operator.add, mono, e))]] = c
-            rows.append(row)
+            rows.append({index[tuple(map(operator.add, mono, e))]: c
+                         for e, c in terms})
     return basis, rows
 
 
-def graded_component(pres: RingPresentation, d: int) -> GradedComponent:
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    basis, rows = relation_rows(pres, d)
-    if not rows:
-        return GradedComponent(d, len(basis), ())
-    diag = intlinalg.invariant_factors(rows)
+def component_of_rows(d: int, basis: Sequence[Exponent],
+                      rows: Sequence[intlinalg.SparseRow]) -> GradedComponent:
+    """The degree-d component presented by the lattice on ``basis`` modulo
+    the sparse relation ``rows``, from their Smith invariant factors."""
+    diag = intlinalg.invariant_factors(rows, len(basis))
     nonzero = [x for x in diag if x != 0]
     free_rank = len(basis) - len(nonzero)
     torsion = tuple(x for x in nonzero if x > 1)
     return GradedComponent(d, free_rank, torsion)
 
 
-def rational_rank_table(pres: RingPresentation,
-                        d_max: int) -> list[tuple[int, int]]:
-    """Rank of each graded piece after tensoring with Q.
-
-    Computed by :func:`intlinalg.rank_over_q`'s fraction-free forward
-    elimination, the cross-check deliberately independent of the Smith
-    normal form route used by :func:`graded_component`.
-    """
-    out = []
-    for d in range(d_max + 1):
-        basis, rows = relation_rows(pres, d)
-        r = intlinalg.rank_over_q(rows) if rows else 0
-        out.append((d, len(basis) - r))
-    return out
+def graded_component(pres: RingPresentation, d: int) -> GradedComponent:
+    if d < 0:
+        raise ValueError("degree must be non-negative")
+    return component_of_rows(d, *relation_rows(pres, d))
 
 
 def rstar_presentation() -> RingPresentation:

@@ -3,7 +3,7 @@ determinism, degree monotonicity."""
 
 import pytest
 
-from pgl3chow import checks
+from pgl3chow import checks, presented
 from pgl3chow.groups import MatrixGroup, alternating_subgroup
 from pgl3chow.intlinalg import invariant_factors
 from pgl3chow.poly import Polynomial
@@ -108,6 +108,26 @@ class TestVerdicts:
         wit = result.witness_dict()
         assert "4: Z ⊕ Z/3" in wit["graded components"]
 
+    def test_rstar_torsion_table_mismatch(self, monkeypatch):
+        # With 9*chi in place of 3*chi, chi spans a Z/9 in degree 6, where
+        # the mod-3 count predicts (Z/3)^3.
+        real = presented.rstar_presentation()
+        texts = [r.render() for r in real.relations]
+        changed = presented.RingPresentation.from_strings(
+            real.generators, ["9*chi" if t == "3*chi" else t for t in texts])
+        assert changed.relations != real.relations
+        monkeypatch.setattr(checks, "rstar_presentation", lambda: changed)
+        result = checks.run_check("rstar-structure", 8)
+        assert result.verdict == "fail"
+        wit = result.witness_dict()
+        failures = [key for key in wit if key.startswith("counterexample")]
+        # Free and rational ranks are untouched; degrees below 6 still match.
+        assert all(key.startswith("counterexample torsion at degree ")
+                   for key in failures)
+        assert failures[0] == "counterexample torsion at degree 6"
+        assert wit[failures[0]] == \
+            "invariant factors (3, 3, 9), expected 3 factors equal to 3"
+
 
 def _series(numerator, weights, bound):
     """Coefficients through t^bound of numerator / prod(1 - t^w), one pass
@@ -139,8 +159,8 @@ class TestGammaCertificate:
     def test_gamma_spans_are_saturated(self):
         spans = checks._gamma_span_vectors(checks.gamma_generators(), 12)
         ranks = checks._molien_ranks(checks.s3_on_xy(), 12)
-        for d, (span, rank) in enumerate(zip(spans, ranks)):
-            nonzero = [f for f in invariant_factors(span) if f]
+        for d, ((width, span), rank) in enumerate(zip(spans, ranks)):
+            nonzero = [f for f in invariant_factors(span, width) if f]
             assert nonzero == [1] * rank, d
 
     def test_failure_witnesses(self, monkeypatch):

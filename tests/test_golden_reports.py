@@ -1,11 +1,13 @@
 """Report bytes pinned against files in tests/data.
 
-``check_all.json`` is the output of ``check --all --format json`` and
+``check_all.json`` is the output of ``check --all --format json``,
 ``gamma_generation_24.json`` that of ``check --name gamma-generation
---max-degree 24 --format json``, each with every result's ``elapsed_ms`` key
-removed, the one field that varies between runs;
-``hilbert_rstar_N.txt`` is ``hilbert --spec builtin:Rstar --max-degree N``
-for N = 20 and 32, the latter pinning the torsion of degrees 21-32.
+--max-degree 24 --format json`` and ``rstar_structure_32.json`` that of
+``check --name rstar-structure --max-degree 32 --format json``, each with
+every result's ``elapsed_ms`` key removed, the one field that varies between
+runs; ``hilbert_rstar_N.txt`` is ``hilbert --spec builtin:Rstar
+--max-degree N`` for N = 20, 32 and 48, the last two pinning the torsion of
+degrees 21-32 and 33-48.
 A change to the arithmetic that alters a verdict, a witness or the layout of
 a report shows up here as a byte difference.
 """
@@ -30,6 +32,8 @@ def test_check_all_json_bytes(capsys):
         (("--all",), 1, "check_all.json"),
         (("--name", "gamma-generation", "--max-degree", "24"), 0,
          "gamma_generation_24.json"),
+        (("--name", "rstar-structure", "--max-degree", "32"), 0,
+         "rstar_structure_32.json"),
     )
     for selection, exit_code, name in cases:
         code, out = run_cli(capsys, "check", *selection, "--format", "json")
@@ -39,7 +43,7 @@ def test_check_all_json_bytes(capsys):
 
 
 def test_hilbert_rstar_bytes(capsys):
-    for bound in (20, 32):
+    for bound in (20, 32, 48):
         code, out = run_cli(capsys, "hilbert", "--spec", "builtin:Rstar",
                             "--max-degree", str(bound))
         assert code == 0

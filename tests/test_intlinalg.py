@@ -12,6 +12,17 @@ def smith_diag(a):
     return diag
 
 
+def sparse_rows(a):
+    """The rows of a dense matrix as ``{col: value}`` dicts of their nonzero
+    entries, the input format of ``invariant_factors`` and ``rank_over_q``."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def dense_invariant_factors(a):
+    """``invariant_factors`` of a dense matrix."""
+    return la.invariant_factors(sparse_rows(a), len(a[0]) if a else 0)
+
+
 def assert_right_transform_certifies(a, diag, right_t):
     """Check ``a·right == left⁻¹·diag`` without a left transform.
 
@@ -70,7 +81,7 @@ class TestInvariantFactors:
         def dense(a, with_right):
             raise AssertionError("dense Smith form reached")
         monkeypatch.setattr(la, "_smith_reduce", dense)
-        assert la.invariant_factors([[2, 4], [6, 8]]) == (2, 4)
+        assert dense_invariant_factors([[2, 4], [6, 8]]) == (2, 4)
 
     def test_dense_remainder_scaled(self, monkeypatch):
         a = [[2, 0, 0], [0, 4, 6], [0, 6, 4]]
@@ -84,18 +95,37 @@ class TestInvariantFactors:
         monkeypatch.setattr(la, "_smith_reduce", spy)
         # Content 2, one unit pivot, then [[2, 3], [3, 2]]: content 1 and
         # no unit, so it goes to the dense form, scaled back by 2.
-        assert la.invariant_factors(a) == expected == (2, 2, 10)
+        assert dense_invariant_factors(a) == expected == (2, 2, 10)
         assert seen == [([[2, 3], [3, 2]], False)]
 
     def test_empty_and_zero(self):
-        assert la.invariant_factors([]) == ()
-        assert la.invariant_factors([[], []]) == ()
-        assert la.invariant_factors([[0, 0, 0], [0, 0, 0]]) == (0, 0)
+        assert la.invariant_factors([], 0) == ()
+        assert la.invariant_factors([], 3) == ()
+        assert la.invariant_factors([{}, {}], 0) == ()
+        assert la.invariant_factors([{}, {}], 3) == (0, 0)
+        # Explicit zero values count as absent entries.
+        assert la.invariant_factors([{0: 0}, {1: 0, 2: 0}], 3) == (0, 0)
+        assert la.invariant_factors([{0: 0, 1: 2}], 3) == (2,)
         assert la.rank_over_q([]) == 0
+        assert la.rank_over_q([{0: 0}, {}, {1: 0, 2: 5}]) == 1
 
     def test_ragged_rejected(self):
+        # The sparse form of a ragged matrix: a column beyond the width.
         with pytest.raises(la.DimensionMismatchError):
-            la.invariant_factors([[1, 2], [3]])
+            la.invariant_factors([{0: 1, 1: 2}, {2: 3}], 2)
+        with pytest.raises(la.DimensionMismatchError):
+            la.invariant_factors([{-1: 1}], 2)
+
+    def test_input_rows_unchanged(self):
+        # Unit pivots, content division and the dense remainder all run on
+        # copies: rows shared between the two routes must survive both.
+        rows = [{0: 2, 1: 4}, {0: 6, 2: 8}, {1: 1, 2: -1}, {}, {2: 3, 3: 9}]
+        before = [dict(row) for row in rows]
+        assert la.invariant_factors(rows, 4) == smith_diag(
+            [[row.get(j, 0) for j in range(4)] for row in rows])
+        assert rows == before
+        assert la.rank_over_q(rows) == 4
+        assert rows == before
 
 
 class TestKernel:
@@ -111,7 +141,7 @@ class TestKernel:
     def test_saturation(self):
         kernel = la.kernel_basis([[2, -2]])
         assert la.hermite_normal_form(kernel) == [[1, 1]]
-        assert la.invariant_factors(kernel) == (1,)
+        assert dense_invariant_factors(kernel) == (1,)
 
     def test_kernel_vectors_annihilate(self):
         a = [[3, 1, -2, 0], [1, 0, 4, 2]]
@@ -201,4 +231,6 @@ class TestSolvers:
 
     def test_rank_over_q_matches_snf_rank(self):
         a = [[2, 4], [1, 2], [0, 3]]
-        assert la.rank_over_q(a) == sum(1 for d in la.invariant_factors(a) if d) == 2
+        rows = sparse_rows(a)
+        assert la.rank_over_q(rows) == sum(
+            1 for d in la.invariant_factors(rows, 2) if d) == 2
