@@ -20,6 +20,7 @@ computed certificate as its counterexample.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -119,14 +120,17 @@ def gamma_generators() -> dict[str, Polynomial]:
 SHIFT_DIRECTION = (1, 1, 1)
 
 
+@functools.cache
 def s3_on_x() -> MatrixGroup:
     return symmetric_group_s3(T_GL3.ctx)
 
 
+@functools.cache
 def s3_on_xy() -> MatrixGroup:
     return transported_group(s3_on_x(), XY_EMBEDDING, T_PGL3_XY.ctx)
 
 
+@functools.cache
 def s3_on_u() -> MatrixGroup:
     """The Weyl action transported to SL3-torus coordinates; on the
     alternating subgroup it is the plain cyclic permutation of u1, u2, u3,
@@ -134,6 +138,7 @@ def s3_on_u() -> MatrixGroup:
     return transported_group(s3_on_x(), TWIST_EMBEDDING, T_SL3_U.ctx)
 
 
+@functools.cache
 def a3_on_u() -> MatrixGroup:
     return alternating_subgroup(s3_on_u())
 
@@ -262,7 +267,8 @@ def _gamma_span_vectors(gammas: Mapping[str, Polynomial], bound: int
                         ) -> list[tuple[int, list[dict[int, int]]]]:
     """The monomials ``gamma2^a * gamma3^b * gamma6^c`` of each degree
     ``0..bound`` as sparse ``{column: coefficient}`` rows over the degree-d
-    monomial basis, one ``(width of the basis, rows)`` pair per degree.
+    monomial basis of the gammas' context, one ``(width of the basis,
+    rows)`` pair per degree.
 
     Each monomial is formed once, as a monomial of lower degree times a
     single gamma (``gamma2`` while ``a > 0``, then ``gamma3``, then
@@ -317,6 +323,19 @@ def _check_gamma_generation(bound: int) -> tuple[bool, Witnesses]:
       ``L_d`` is saturated: ``(L_d ⊗ Q) ∩ Z^n = L_d``.  If moreover their
       number, ``rank L_d``, equals the Molien rank, then ``L_d ⊗ Q`` is all
       of ``I_d ⊗ Q``, so ``I_d ⊆ (L_d ⊗ Q) ∩ Z^n = L_d`` and ``L_d = I_d``.
+    * The span vectors are taken in ``Z[x, y]_d``, which has ``d + 1``
+      monomials instead of ``(d + 1)(d + 2)/2``, through the restriction
+      ``TO_XY`` (``x1 -> x``, ``x2 -> y``, ``x3 -> 0``).  Let ``S_d`` be the
+      shift-invariant integral forms of degree ``d``.  ``S_d`` is a kernel,
+      so it is saturated in ``Z^n`` and a direct summand of it, and the
+      invariant factors of ``L_d ⊆ S_d`` are the same in ``S_d`` as in
+      ``Z^n``.  The restriction maps ``S_d`` isomorphically onto
+      ``Z[x, y]_d``: its inverse is ``g ↦ g(x1 - x3, x2 - x3)``, because
+      over Q ``f(x + t(1, 1, 1)) = f(x)``; set ``t = -x3``.  It is a ring
+      map, so it sends each gamma monomial to the same monomial in the
+      restricted gammas, and the invariant factors of ``L_d`` are those of
+      its image.  This needs the gammas in ``S_d``, which is why the
+      invariance re-check comes before the span.
 
     A degree where either condition fails is reported with its Molien rank,
     the span rank and the non-unit invariant factors.  Saturation is needed
@@ -330,7 +349,8 @@ def _check_gamma_generation(bound: int) -> tuple[bool, Witnesses]:
     if wit:
         return False, wit
     ranks = _molien_ranks(s3_on_xy(), bound)
-    spans = _gamma_span_vectors(gammas, bound)
+    spans = _gamma_span_vectors(
+        {name: restrict_poly(g, TO_XY) for name, g in gammas.items()}, bound)
     summary = []
     for d, (rank, (width, span)) in enumerate(zip(ranks, spans)):
         factors = [f for f in intlinalg.invariant_factors(span, width) if f]

@@ -28,8 +28,9 @@ class ConfigError(ValueError):
 
 
 # The largest degree bound accepted as input.  At 64 the slowest check,
-# rstar-structure, takes about 40 s and gamma-generation about 20 s (Python
-# 3.11 on a 2-core machine); the work grows quickly beyond it.
+# rstar-structure, takes about 2.7 s and gamma-generation about 0.65 s (wall
+# time, Python 3.11 on a shared 2-core machine); the work grows quickly
+# beyond it.
 MAX_DEGREE = 64
 
 
@@ -101,7 +102,12 @@ def _finish_presentation(section: _SectionBuilder, cfg: UserConfig) -> None:
         if not match:
             raise ConfigError(f"presentation {section.name!r}: bad generator "
                               f"{token!r}, expected name:degree")
-        generators.append((match.group(1), int(match.group(2))))
+        try:
+            degree = int(match.group(2))
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            raise ConfigError(f"presentation {section.name!r}: degree of generator "
+                              f"{match.group(1)!r} is too long") from None
+        generators.append((match.group(1), degree))
     relations = []
     for key, value, lineno in section.entries:
         if key == "generators":

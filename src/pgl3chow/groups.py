@@ -17,6 +17,7 @@ parameter, which :func:`literally_shift_invariant` provides as a cross-check.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,25 +64,31 @@ class MatrixGroup:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def _ring_map(self, matrix: MatrixRows) -> RingMap:
+    @functools.cached_property
+    def _ring_maps(self) -> tuple[RingMap, ...]:
+        """One substitution map per element, in element order, built on
+        first use and kept with the group."""
         n = self.ctx.arity
-        images = []
-        for i in range(n):
-            images.append(Polynomial.linear_form(
-                self.ctx, [matrix[j][i] for j in range(n)]))
-        return RingMap(self.ctx, self.ctx, tuple(images), INTEGERS)
+        return tuple(
+            RingMap(self.ctx, self.ctx, tuple(
+                Polynomial.linear_form(self.ctx, [matrix[j][i] for j in range(n)])
+                for i in range(n)), INTEGERS)
+            for _, matrix in self.elements)
 
     def act(self, label: str, p: Polynomial) -> Polynomial:
         if p.context != self.ctx:
             raise ContextMismatchError("polynomial not over the group's context")
-        return self._ring_map(self.matrix(label)).apply(p)
+        for (name, _), ring_map in zip(self.elements, self._ring_maps):
+            if name == label:
+                return ring_map.apply(p)
+        raise KeyError(f"no element labeled {label!r}")
 
     def orbit_sum(self, p: Polynomial) -> Polynomial:
         if p.context != self.ctx:
             raise ContextMismatchError("polynomial not over the group's context")
         total = Polynomial.zero(self.ctx)
-        for _, matrix in self.elements:
-            total = total + self._ring_map(matrix).apply(p)
+        for ring_map in self._ring_maps:
+            total = total + ring_map.apply(p)
         return total
 
     def closure_check(self) -> ClosureReport:

@@ -454,6 +454,14 @@ class PolynomialParseError(ValueError):
     pass
 
 
+def _parse_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise PolynomialParseError(
+            f"number with {len(digits)} digits is too long") from None
+
+
 def parse(text: str, ctx: VariableContext,
           ring: CoefficientRing = INTEGERS) -> Polynomial:
     """Parse the canonical text format back into a polynomial."""
@@ -484,7 +492,7 @@ def parse(text: str, ctx: VariableContext,
         elif "/" in coeff_text:
             raise PolynomialParseError(f"fractional coefficient over {ring}")
         else:
-            coeff = int(coeff_text)
+            coeff = _parse_int(coeff_text)
         if sign == "-":
             coeff = -coeff
         exp = [0] * ctx.arity
@@ -493,7 +501,7 @@ def parse(text: str, ctx: VariableContext,
             for factor in mono_text.split("*"):
                 if "^" in factor:
                     name, power = factor.split("^")
-                    e = int(power)
+                    e = _parse_int(power)
                 else:
                     name, e = factor, 1
                 if name not in ctx.names:

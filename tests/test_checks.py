@@ -7,6 +7,7 @@ from pgl3chow import checks, presented
 from pgl3chow.groups import MatrixGroup, alternating_subgroup
 from pgl3chow.intlinalg import invariant_factors
 from pgl3chow.poly import Polynomial
+from pgl3chow.repcalc import TO_XY, restrict_poly
 
 EXPECTED_NAMES = [
     "gamma-invariance",
@@ -157,11 +158,25 @@ class TestGammaCertificate:
             checks._molien_ranks(group, 4)
 
     def test_gamma_spans_are_saturated(self):
-        spans = checks._gamma_span_vectors(checks.gamma_generators(), 12)
-        ranks = checks._molien_ranks(checks.s3_on_xy(), 12)
-        for d, ((width, span), rank) in enumerate(zip(spans, ranks)):
-            nonzero = [f for f in invariant_factors(span, width) if f]
-            assert nonzero == [1] * rank, d
+        # Cross-check of the reduction to x, y: for shift-invariant gammas the
+        # span in x1, x2, x3 and the span of the TO_XY images have the same
+        # nonzero invariant factors, also when those are not all 1.
+        real = checks.gamma_generators()
+        variants = (real, {**real, "gamma2": 2 * real["gamma2"]},
+                    {**real, "gamma6": real["gamma2"] ** 3})
+        bound = 16
+        ranks = checks._molien_ranks(checks.s3_on_xy(), bound)
+        for gammas in variants:
+            in_xy = {name: restrict_poly(g, TO_XY) for name, g in gammas.items()}
+            spans = zip(checks._gamma_span_vectors(gammas, bound),
+                        checks._gamma_span_vectors(in_xy, bound))
+            for d, ((width, span), (width_xy, span_xy)) in enumerate(spans):
+                assert width_xy == d + 1
+                nonzero = [f for f in invariant_factors(span, width) if f]
+                assert [f for f in invariant_factors(span_xy, width_xy) if f] \
+                    == nonzero, d
+                if gammas is real:
+                    assert nonzero == [1] * ranks[d], d
 
     def test_failure_witnesses(self, monkeypatch):
         real = checks.gamma_generators()
@@ -196,6 +211,23 @@ class TestGammaCertificate:
         assert "counterexample gamma2 under (12)" in wit
         assert "counterexample shift derivative of gamma2" in wit
         assert not any(key.startswith("Molien rank") for key in wit)
+
+    def test_shift_variant_generator_fails_before_span(self, monkeypatch):
+        # s1^2 is S3-invariant and homogeneous but not shift-invariant, so it
+        # lies outside the forms on which restriction to x, y is injective.
+        real = checks.gamma_generators()
+        ctx = real["gamma2"].context
+        s1 = sum((Polynomial.variable(ctx, n) for n in ctx.names),
+                 Polynomial.zero(ctx))
+        fake = {**real, "gamma2": s1 ** 2}
+        monkeypatch.setattr(checks, "gamma_generators", lambda: fake)
+        result = checks.run_check("gamma-generation", 8)
+        assert result.verdict == "fail"
+        wit = result.witness_dict()
+        assert "counterexample shift derivative of gamma2" in wit
+        assert not any(key.startswith("counterexample gamma2 under")
+                       for key in wit)
+        assert not any(key.startswith("counterexample at degree") for key in wit)
 
 
 class TestWitnessRoundTrip:

@@ -1,8 +1,9 @@
 """Report bytes pinned against files in tests/data.
 
 ``check_all.json`` is the output of ``check --all --format json``,
-``gamma_generation_24.json`` that of ``check --name gamma-generation
---max-degree 24 --format json`` and ``rstar_structure_32.json`` that of
+``gamma_generation_N.json`` that of ``check --name gamma-generation
+--max-degree N --format json`` for N = 24 and 64 (the input limit, pinning
+the Molien ranks of all 65 degrees) and ``rstar_structure_32.json`` that of
 ``check --name rstar-structure --max-degree 32 --format json``, each with
 every result's ``elapsed_ms`` key removed, the one field that varies between
 runs; ``hilbert_rstar_N.txt`` is ``hilbert --spec builtin:Rstar
@@ -32,6 +33,8 @@ def test_check_all_json_bytes(capsys):
         (("--all",), 1, "check_all.json"),
         (("--name", "gamma-generation", "--max-degree", "24"), 0,
          "gamma_generation_24.json"),
+        (("--name", "gamma-generation", "--max-degree", "64"), 0,
+         "gamma_generation_64.json"),
         (("--name", "rstar-structure", "--max-degree", "32"), 0,
          "rstar_structure_32.json"),
     )

@@ -1,5 +1,11 @@
 """Group actions, closure checks, orbit sums, shift criteria."""
 
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 from pgl3chow import intlinalg as la
 from pgl3chow.checks import (
     SHIFT_DIRECTION,
@@ -12,7 +18,7 @@ from pgl3chow.checks import (
     u_variables,
 )
 from pgl3chow.groups import MatrixGroup, literally_shift_invariant
-from pgl3chow.poly import INTEGERS, Polynomial, context, parse
+from pgl3chow.poly import INTEGERS, ContextMismatchError, Polynomial, context, parse
 from pgl3chow.repcalc import T_PGL3_XY
 
 
@@ -80,6 +86,42 @@ class TestAction:
                 label = by_matrix[prod]
                 assert group.act(label, sample) == group.act(
                     la_, group.act(lb, sample))
+
+
+class TestElementMaps:
+    def test_unknown_label_and_foreign_polynomial_rejected(self):
+        group = s3_on_xy()
+        x = Polynomial.variable(group.ctx, "x")
+        with pytest.raises(KeyError, match="no element labeled"):
+            group.act("(45)", x)
+        foreign = Polynomial.variable(s3_on_x().ctx, "x1")
+        with pytest.raises(ContextMismatchError):
+            group.act("e", foreign)
+        with pytest.raises(ContextMismatchError):
+            group.orbit_sum(foreign)
+
+    def test_groups_and_maps_built_once(self):
+        for build in (s3_on_x, s3_on_xy, s3_on_u, a3_on_u):
+            group = build()
+            assert build() is group
+            assert group._ring_maps is group._ring_maps
+            assert len(group._ring_maps) == len(group)
+        # A fresh group with the same elements acts the same way.
+        group = s3_on_x()
+        fresh = MatrixGroup(group.ctx, group.elements)
+        g = gamma_generators()["gamma3"] + Polynomial.variable(group.ctx, "x1")
+        for label in group.labels():
+            assert group.act(label, g) == fresh.act(label, g)
+
+    def test_nothing_built_at_import(self):
+        probe = ("import pgl3chow.cli, pgl3chow.checks as c; "
+                 "print(sum(f.cache_info().currsize for f in "
+                 "(c.s3_on_x, c.s3_on_xy, c.s3_on_u, c.a3_on_u)))")
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run([sys.executable, "-c", probe], check=True, timeout=60,
+                             capture_output=True, text=True,
+                             env={"PYTHONPATH": str(src)}).stdout
+        assert out.strip() == "0"
 
 
 class TestOrbitSum:
