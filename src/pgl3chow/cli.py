@@ -145,12 +145,13 @@ def cmd_check(args: argparse.Namespace, config: Config) -> int:
     selection = "--all" if args.all else args.name
     try:
         checks.validate_overrides(config.max_degree_overrides)
+        # --max-degree beats the config file's per-check bounds, as --format
+        # beats its format: given the flag, every selected check runs to it.
+        bounds = {} if config.max_degree is not None else config.max_degree_overrides
         if args.all:
-            report = checks.run_all(config.max_degree_overrides, config.max_degree)
+            report = checks.run_all(bounds, config.max_degree)
         else:
-            bound = config.max_degree
-            if bound is None:
-                bound = config.max_degree_overrides.get(args.name)
+            bound = bounds.get(args.name, config.max_degree)
             report = Report((checks.run_check(args.name, bound),))
     except UnknownCheckError as exc:
         print(f"error: unknown check {exc.args[0]!r}; run 'pgl3chow list'",
@@ -199,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--all", action="store_true", help="run every check")
     which.add_argument("--name", metavar="ID", help="run a single check")
     p_check.add_argument("--max-degree", type=int, metavar="N",
-                         help="degree bound override for the selected checks "
-                              f"(0 to {MAX_DEGREE})")
+                         help="degree bound for every selected check, over any "
+                              f"bound in the config file (0 to {MAX_DEGREE})")
     p_check.add_argument("--format", choices=("text", "json"),
                          help="report format (default text)")
 

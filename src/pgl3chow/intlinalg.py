@@ -5,19 +5,25 @@ Entries are plain Python integers, so intermediate values never overflow.
 :func:`invariant_factors` and :func:`rank_over_q` read sparse rows, one
 ``{column: value}`` dict per row in which a zero value counts as absent
 (:data:`SparseRow`), and work on copies, so shared rows come back unchanged;
-everything else works on row-major ``list[list[int]]`` matrices.  The one Smith elimination pivots on the minimal nonzero entry,
-taking the first unit it meets, and never builds a left transform;
-:func:`kernel_basis` keeps its right transform and certifies ``A·v == 0``
-for every kernel vector.  :func:`invariant_factors` builds no transforms: it
-eliminates ±1 pivots, deleting each pivot's row and column, and divides the
-remainder by its content whenever no unit is left (SNF(g·B) = g·SNF(B));
-only a remainder of content 1 without a unit goes through the dense
-elimination.  :func:`rank_over_q` is the independent cross-check of the
+everything else works on row-major ``list[list[int]]`` matrices.
+
+Two eliminations, one job each.  The Smith elimination gives invariant
+factors only and builds no transform: :func:`invariant_factors` eliminates
+±1 pivots, deleting each pivot's row and column, and divides the remainder
+by its content whenever no unit is left (SNF(g·B) = g·SNF(B)); only a
+remainder of content 1 without a unit goes through the dense elimination,
+which pivots on the minimal nonzero entry, taking the first unit it meets.
+The Hermite elimination is the only one with a transform, and every solve
+and kernel reads it (Cohen, *A Course in Computational Algebraic Number
+Theory*, 1993, §2.4): :func:`hermite_normal_form` returns the canonical
+row-echelon form (positive pivots, entries above a pivot reduced into
+``[0, pivot)``) with a unimodular ``u``; :func:`solve_left_rational` and
+:func:`solve_left` back-substitute against it, and :func:`left_kernel`
+returns the rows of ``u`` beyond the rank, certified against
+:func:`invariant_factors`.  :func:`membership` multiplies its certificate
+back before it answers yes, and finds a separating vector before it answers
+no modulo ``m``.  :func:`rank_over_q` is the independent cross-check of the
 Smith-form rank.
-Hermite normal form is the canonical row-echelon form (positive pivots,
-entries above a pivot reduced into ``[0, pivot)``); :func:`solve_left`
-decides membership by back-substitution against it, and :func:`membership`
-multiplies its certificate back before it answers yes.
 """
 
 from __future__ import annotations
@@ -100,20 +106,12 @@ def bareiss_determinant(a: Sequence[Sequence[int]]) -> int:
 # ---- Smith normal form ----------------------------------------------------
 
 
-def _swap_rows(m: Matrix, i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
+def _smith_reduce(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Diagonalize a copy of ``a`` to Smith form and return the diagonal.
 
-
-def _smith_reduce(a: Sequence[Sequence[int]], with_right: bool
-                  ) -> tuple[tuple[int, ...], Matrix | None]:
-    """Diagonalize a copy of ``a`` to Smith form; return ``(diag, right_t)``.
-
-    The one Smith elimination, behind :func:`kernel_basis` (with the right
-    transform) and the dense remainder of :func:`invariant_factors`
-    (without).  ``diag`` has ``min(rows, cols)`` entries, d1 | d2 | ...
-    then zeros.  ``right_t`` holds the columns of the right transform as
-    rows, so each column operation is a row operation on it; it is None
-    unless ``with_right`` is set.  No left transform is built.
+    The one Smith elimination, behind the dense remainder of
+    :func:`invariant_factors`.  The diagonal has ``min(rows, cols)``
+    entries, d1 | d2 | ... then zeros.  No transform is built.
 
     Once pivot ``t`` is done, row ``t`` and column ``t`` are zero off the
     diagonal, so later row operations on ``d`` touch only columns ``>= t``
@@ -124,7 +122,6 @@ def _smith_reduce(a: Sequence[Sequence[int]], with_right: bool
     d = [list(map(int, row)) for row in a]
     if any(len(row) != cols for row in d):
         raise DimensionMismatchError("ragged matrix")
-    right_t = identity(cols) if with_right else None
     k = min(rows, cols)
     t = 0
     while t < k:
@@ -145,12 +142,10 @@ def _smith_reduce(a: Sequence[Sequence[int]], with_right: bool
         if best == 0:
             break
         if pi != t:
-            _swap_rows(d, t, pi)
+            d[t], d[pi] = d[pi], d[t]
         if pj != t:
             for row in d[t:]:
                 row[t], row[pj] = row[pj], row[t]
-            if right_t is not None:
-                _swap_rows(right_t, t, pj)
         top = d[t]
         p = top[t]
         dirty = False
@@ -167,8 +162,6 @@ def _smith_reduce(a: Sequence[Sequence[int]], with_right: bool
                 q = top[j] // p
                 for row in d[t:]:
                     row[j] -= q * row[t]
-                if right_t is not None:
-                    right_t[j] = [x - q * y for x, y in zip(right_t[j], right_t[t])]
                 if top[j]:
                     dirty = True
         if dirty:
@@ -193,7 +186,7 @@ def _smith_reduce(a: Sequence[Sequence[int]], with_right: bool
         if p < 0:
             top[t] = -p
         t += 1
-    return tuple(d[i][i] for i in range(k)), right_t
+    return tuple(d[i][i] for i in range(k))
 
 
 def invariant_factors(rows: Sequence[SparseRow], cols: int) -> tuple[int, ...]:
@@ -244,7 +237,7 @@ def invariant_factors(rows: Sequence[SparseRow], cols: int) -> tuple[int, ...]:
     if live:
         rest = sorted(where)
         dense = [[entries.get(j, 0) for j in rest] for entries in live.values()]
-        diag, _ = _smith_reduce(dense, with_right=False)
+        diag = _smith_reduce(dense)
         factors.extend(scale * x for x in diag if x)
     return tuple(factors) + (0,) * (min(len(rows), cols) - len(factors))
 
@@ -331,33 +324,17 @@ def rank_over_q(rows: Iterable[SparseRow]) -> int:
     return len(echelon)
 
 
-def kernel_basis(a: Sequence[Sequence[int]]) -> list[Vector]:
-    """Basis of {v : A v = 0}; the spanned lattice is saturated.
+# ---- Hermite normal form: every solve and kernel ---------------------------
 
-    The basis is the columns of the Smith right transform beyond the rank.
-    Each vector is certified by ``A v == 0`` before it is returned.
+
+def hermite_normal_form(gens: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix]:
+    """Canonical row HNF of ``gens`` with its unimodular transform.
+
+    Returns ``(h, u)``: ``h`` holds the ``r`` nonzero rows, a Z-basis of the
+    row lattice; ``u`` is ``len(gens) x len(gens)`` and unimodular, with
+    ``u[i]·gens == h[i]`` for ``i < r``, and its rows ``u[r:]`` annihilate
+    ``gens``.  Only row operations of determinant ±1 are applied to both.
     """
-    rows = len(a)
-    cols = len(a[0]) if a else 0
-    if rows == 0:
-        return [row[:] for row in identity(cols)]
-    diag, right_t = _smith_reduce(a, with_right=True)
-    kernel = right_t[sum(1 for x in diag if x):]
-    for row in a:
-        for v in kernel:
-            if sum(map(operator.mul, row, v)):
-                raise ArithmeticError("kernel vector not annihilated by the matrix")
-    return kernel
-
-
-# ---- Hermite normal form ---------------------------------------------------
-
-
-def hermite_normal_form(gens: Sequence[Sequence[int]],
-                        with_transform: bool = False):
-    """Canonical row HNF.  Returns the nonzero rows; optionally also a
-    unimodular transform U (len(gens) x len(gens)) such that hnf row i equals
-    U[i] @ gens."""
     m = len(gens)
     n = len(gens[0]) if m else 0
     if any(len(row) != n for row in gens):
@@ -367,16 +344,12 @@ def hermite_normal_form(gens: Sequence[Sequence[int]],
     pivot_row = 0
     for col in range(n):
         # Combine rows so a single nonzero remains in this column below pivot_row.
-        found = None
-        for i in range(pivot_row, m):
-            if h[i][col]:
-                found = i
-                break
+        found = next((i for i in range(pivot_row, m) if h[i][col]), None)
         if found is None:
             continue
         if found != pivot_row:
-            _swap_rows(h, pivot_row, found)
-            _swap_rows(u, pivot_row, found)
+            h[pivot_row], h[found] = h[found], h[pivot_row]
+            u[pivot_row], u[found] = u[found], u[pivot_row]
         for i in range(pivot_row + 1, m):
             if h[i][col]:
                 g, x, y = xgcd(h[pivot_row][col], h[i][col])
@@ -398,78 +371,84 @@ def hermite_normal_form(gens: Sequence[Sequence[int]],
         pivot_row += 1
         if pivot_row == m:
             break
-    nonzero = [row[:] for row in h[:pivot_row]]
-    if not with_transform:
-        return nonzero
-    return nonzero, u
+    return h[:pivot_row], u
+
+
+def left_kernel(gens: Sequence[Sequence[int]]) -> list[Vector]:
+    """Basis of the lattice {v : v·gens == 0}: the rows of the Hermite
+    transform beyond the rank, certified to span the whole kernel.
+
+    Each vector has ``v·gens == 0``; their number plus the rank of ``gens``
+    from :func:`invariant_factors` (no code shared with the Hermite
+    elimination) is ``len(gens)``; and their invariant factors are all 1.
+    So they span a saturated sublattice of the kernel of its rank: the
+    kernel.  A failed check raises ``ArithmeticError``.
+    """
+    h, u = hermite_normal_form(gens)
+    kernel = u[len(h):]
+    if any(sum(map(operator.mul, v, col)) for col in zip(*gens) for v in kernel):
+        raise ArithmeticError("kernel vector does not annihilate the generators")
+    cols = len(gens[0]) if gens else 0
+    rank = sum(1 for d in invariant_factors(_sparse(gens), cols) if d)
+    if len(kernel) + rank != len(gens):
+        raise ArithmeticError("kernel and rank do not add up to the row count")
+    if any(d != 1 for d in invariant_factors(_sparse(kernel), len(gens))):
+        raise ArithmeticError("kernel vectors do not span a saturated lattice")
+    return kernel
+
+
+def _sparse(a: Sequence[Sequence[int]]) -> list[dict[int, int]]:
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
 # ---- solving and membership -------------------------------------------------
 
 
-def solve_left(target: Sequence[int], gens: Sequence[Sequence[int]]) -> Vector | None:
-    """Integer row vector x with x @ gens == target, or None."""
+def solve_left_rational(target: Sequence[int],
+                        gens: Sequence[Sequence[int]]) -> list[Fraction] | None:
+    """A rational x with x @ gens == target, or None when inconsistent; the
+    unique one whenever the rows of ``gens`` are independent.
+
+    Back-substitution against the Hermite form ``h`` gives the unique
+    rational ``y`` with ``y·h == target``; then ``x = y·u[:r]``.  The rows of
+    ``h`` are a Z-basis of the row lattice, so ``y``, and with it ``x``, is
+    integral exactly when the target lies in the lattice.
+    """
     if not gens:
         return [] if all(t == 0 for t in target) else None
-    n = len(gens[0])
-    if len(target) != n:
+    if len(target) != len(gens[0]):
         raise DimensionMismatchError("target length differs from generators")
-    h, u = hermite_normal_form(gens, with_transform=True)
+    h, u = hermite_normal_form(gens)
     residue = list(map(int, target))
-    coeffs = [0] * len(gens)
-    for r, row in enumerate(h):
-        pivot_col = next(j for j, x in enumerate(row) if x)
-        if residue[pivot_col] % row[pivot_col] != 0:
-            return None
+    x = [0] * len(gens)
+    den = 1  # residue and x are held as den times their values
+    for row, transform in zip(h, u):
+        pivot_col = next(j for j, v in enumerate(row) if v)
+        scale = row[pivot_col] // math.gcd(residue[pivot_col], row[pivot_col])
+        if scale != 1:
+            den *= scale
+            residue = [scale * a for a in residue]
+            x = [scale * a for a in x]
         q = residue[pivot_col] // row[pivot_col]
         if q:
             residue = [a - q * b for a, b in zip(residue, row)]
-            coeffs = [a + q * b for a, b in zip(coeffs, u[r])]
-    if any(residue):
+            x = [a + q * b for a, b in zip(x, transform)]
+    return None if any(residue) else [Fraction(a, den) for a in x]
+
+
+def solve_left(target: Sequence[int], gens: Sequence[Sequence[int]]) -> Vector | None:
+    """Integer row vector x with x @ gens == target, or None."""
+    x = solve_left_rational(target, gens)
+    if x is None or any(c.denominator != 1 for c in x):
         return None
-    return coeffs
-
-
-def solve_left_rational(target: Sequence[int],
-                        gens: Sequence[Sequence[int]]) -> list[Fraction] | None:
-    """Rational solution of x @ gens == target, or None when inconsistent."""
-    if not gens:
-        return [] if all(t == 0 for t in target) else None
-    m = len(gens)
-    n = len(gens[0])
-    # Solve gens^T y = target by Gauss-Jordan over Q, tracking columns.
-    aug = [[Fraction(gens[i][j]) for i in range(m)] + [Fraction(target[j])]
-           for j in range(n)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(m):
-        pivot_row = None
-        for i in range(r, n):
-            if aug[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, n):
-        if aug[i][m]:
-            return None
-    solution = [Fraction(0)] * m
-    for row, col in pivots:
-        solution[col] = aug[row][m]
-    return solution
+    return [int(c) for c in x]
 
 
 @dataclass(frozen=True)
 class MembershipResult:
+    """``certificate`` is the coefficient vector of a yes; for a no under a
+    modulus, the separating vector ``y`` of :func:`membership`."""
+
     member: bool
     certificate: tuple[int, ...] | None
 
@@ -480,34 +459,55 @@ def membership(target: Sequence[int], gens: Sequence[Sequence[int]],
 
     A yes is believed only after the certificate is multiplied back into
     the generators and reproduces the target (mod ``modulus`` if given);
-    a mismatch raises ``ArithmeticError``.
+    a mismatch raises ``ArithmeticError``.  A no under a modulus is believed
+    only with a separating vector ``y``: ``g·y ≡ 0`` for every generator and
+    ``target·y ≢ 0`` (mod ``modulus``), which no combination of the
+    generators can satisfy; without one it raises ``ArithmeticError``.
     """
     gens = [list(map(int, g)) for g in gens]
     target = list(map(int, target))
-    for g in gens:
-        if len(g) != len(target):
-            raise DimensionMismatchError("generator length differs from target")
+    n = len(target)
+    if any(len(g) != n for g in gens):
+        raise DimensionMismatchError("generator length differs from target")
     if modulus is None:
         x = solve_left(target, gens)
         if x is None:
             return MembershipResult(False, None)
         certificate = tuple(x)
     else:
-        n = len(target)
-        extended = [g[:] for g in gens]
-        for i in range(n):
-            row = [0] * n
-            row[i] = modulus
-            extended.append(row)
-        x = solve_left([t % modulus for t in target], extended)
+        target = [t % modulus for t in target]
+        x = solve_left(target, gens + [[modulus if i == j else 0 for j in range(n)]
+                                       for i in range(n)])
         if x is None:
-            return MembershipResult(False, None)
+            y = _separating_vector(target, gens, modulus)
+            if y is None:
+                raise ArithmeticError("non-membership has no separating vector")
+            return MembershipResult(False, tuple(y))
         certificate = tuple(c % modulus for c in x[:len(gens)])
-    combined = [sum(c * g[j] for c, g in zip(certificate, gens))
-                for j in range(len(target))]
+    combined = [sum(c * g[j] for c, g in zip(certificate, gens)) for j in range(n)]
     if modulus is not None:
         combined = [v % modulus for v in combined]
-        target = [t % modulus for t in target]
     if combined != target:
         raise ArithmeticError("membership certificate does not reproduce the target")
     return MembershipResult(True, certificate)
+
+
+def _separating_vector(target: Sequence[int], gens: Sequence[Sequence[int]],
+                       modulus: int) -> Vector | None:
+    """``y`` mod ``modulus`` with ``g·y ≡ 0`` for every generator and
+    ``target·y ≢ 0``, checked by dot products, or None.
+
+    The vectors ``(y, z)`` of :func:`left_kernel` of the columns of
+    ``[G | -m·I]`` (one row of ``G`` per generator) solve ``G·y = m·z``, and
+    their ``y`` span every ``y`` with ``G·y ≡ 0``; one basis vector is tried
+    after another.
+    """
+    k = len(gens)
+    columns = [[g[j] for g in gens] for j in range(len(target))]
+    columns += [[-modulus if i == j else 0 for i in range(k)] for j in range(k)]
+    for v in left_kernel(columns):
+        y = [c % modulus for c in v[:len(target)]]
+        if (sum(map(operator.mul, target, y)) % modulus
+                and not any(sum(map(operator.mul, g, y)) % modulus for g in gens)):
+            return y
+    return None

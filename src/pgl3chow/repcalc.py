@@ -284,19 +284,14 @@ def express_in(target: Polynomial, gens: Mapping[str, Polynomial]) -> ExpressRes
     solution = intlinalg.solve_left(t_vec, rows)
     if solution is None:
         rational = intlinalg.solve_left_rational(t_vec, rows)
-        text = None
-        if rational is not None:
-            parts = []
-            for exp, c in zip(monomials, rational):
-                if c:
-                    mono = gen_ctx.render_monomial(exp) or "1"
-                    parts.append(f"{c}*{mono}")
-            text = " + ".join(parts) if parts else "0"
+        text = None if rational is None else " + ".join(
+            f"{c}*{gen_ctx.render_monomial(exp) or '1'}"
+            for exp, c in zip(monomials, rational) if c)
         return ExpressResult(False, None, text)
 
-    syzygies = intlinalg.kernel_basis(intlinalg.transpose(rows))
+    syzygies = intlinalg.left_kernel(rows)
     if syzygies:
-        reduced = intlinalg.hermite_normal_form(syzygies)
+        reduced, _ = intlinalg.hermite_normal_form(syzygies)
         for row in reduced:
             pivot = next(j for j, x in enumerate(row) if x)
             q = solution[pivot] // row[pivot]

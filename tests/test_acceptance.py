@@ -38,7 +38,7 @@ from pgl3chow.repcalc import (
     subtract,
     trivial,
 )
-from test_intlinalg import assert_right_transform_certifies, dense_invariant_factors
+from test_intlinalg import assert_hermite_transform_certifies, dense_invariant_factors
 
 
 def _verdict_line(number: int, name: str, ok: bool) -> None:
@@ -137,6 +137,13 @@ def test_criterion_06_alphabeta_nonmembership():
     ok = not result.member
     _verdict_line(6, "alphabeta-nonmembership (a*b^3 outside the image)", ok)
     assert ok, f"unexpected certificate {result.certificate}"
+    # The no is certified by y = e(a*b^3): it kills every image generator
+    # mod 3 and not the target.  The member a^4 has no such vector.
+    y = result.certificate
+    assert y == (0, 0, 0, 1, 0)
+    assert all(sum(g * c for g, c in zip(row, y)) % 3 == 0 for row in image_vectors)
+    assert sum(int(t) * c for t, c in zip(target, y)) % 3
+    assert la._separating_vector([1, 0, 0, 0, 0], image_vectors, 3) is None
 
 
 def test_criterion_07_sl3_restriction():
@@ -286,17 +293,15 @@ def test_criterion_11_property_suites():
             assert restrict_poly(chern_class(r, i), lattice_map) == \
                 chern_class(restrict_rep(r, lattice_map), i)
 
-    for _ in range(N_INSTANCES):  # SNF certificates of the right transform
-        a = _random_matrix(rng)
-        diag, right_t = la._smith_reduce(a, with_right=True)
-        assert_right_transform_certifies(a, diag, right_t)
+    for _ in range(N_INSTANCES):  # Hermite transform certificate
+        assert_hermite_transform_certifies(_random_matrix(rng))
 
     for _ in range(N_INSTANCES):  # kernel saturation
         a = _random_matrix(rng)
-        kernel = la.kernel_basis(a)
+        kernel = la.left_kernel(a)
         for v in kernel:
-            assert all(x == 0 for (x,) in la.matmul(a, [[c] for c in v]))
-        assert len(kernel) == len(a[0]) - sum(1 for d in dense_invariant_factors(a) if d)
+            assert all(x == 0 for x in la.matmul([v], a)[0])
+        assert len(kernel) == len(a) - sum(1 for d in dense_invariant_factors(a) if d)
         if kernel:
             assert all(d == 1 for d in dense_invariant_factors(kernel))
 

@@ -162,6 +162,19 @@ class TestConfigFile:
         payload = json.loads(out)
         assert payload["results"][0]["witnesses"]["checked degrees"] == "0..4"
 
+    def test_flag_beats_config_bound_for_both_selections(self, capsys, tmp_path):
+        # The config file's bound holds unless --max-degree is given, for
+        # --all and --name alike.
+        cfg = tmp_path / "bound.cfg"
+        cfg.write_text("[options]\nformat = json\nmax-degree gamma-generation = 4\n")
+        for flag, degrees in ((["--max-degree", "2"], "0..2"), ([], "0..4")):
+            for selection in (["--all"], ["--name", "gamma-generation"]):
+                _, out, _ = run_cli(capsys, "--config", str(cfg), "check",
+                                    *selection, *flag)
+                results = {r["name"]: r for r in json.loads(out)["results"]}
+                witnesses = results["gamma-generation"]["witnesses"]
+                assert witnesses["checked degrees"] == degrees, (selection, flag)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown options key"):
             parse_config("[options]\ncolour = green\n")

@@ -1,7 +1,7 @@
 """Random input text: polynomial text and config files are either accepted or
 rejected with their own error type, and the command line answers a bad
-config file with exit 2, never with an internal error (exit 3) or a
-traceback.
+config file, under ``--config`` or ``hilbert --spec``, with exit 2, never
+with an internal error (exit 3) or a traceback.
 
 The text is drawn from a small alphabet of variable names, digits, the
 operators ``+ - * ^ /``, spaces, brackets, ``=``, ``#`` and newlines.
@@ -73,6 +73,40 @@ config_texts = st.builds(
     st.lists(config_lines(), max_size=8))
 
 
+# Files for ``hilbert --spec FILE``: a ``[presentation p]`` header with a
+# generator list, relation lines, and now and then one of the config lines
+# above.  Relations are sums of terms in the generator names, or any text.
+GENERATOR_NAMES = ("g", "h", "lam", "c3")
+generator_lists = st.lists(
+    st.tuples(st.sampled_from(GENERATOR_NAMES),
+              st.sampled_from(("1", "2", "3", "9", "0", "x"))),
+    min_size=1, max_size=3, unique_by=lambda g: g[0],
+).map(lambda gens: " ".join(f"{name}:{degree}" for name, degree in gens))
+relation_terms = st.builds("{}*{}^{}".format, st.integers(-9, 9),
+                           st.sampled_from(GENERATOR_NAMES), st.integers(0, 3))
+relation_lines = st.builds(
+    "relation = {}".format,
+    st.one_of(st.lists(relation_terms, min_size=1, max_size=3).map(" + ".join),
+              texts(tuple(t for t in POLY_TOKENS if t != "\n") + GENERATOR_NAMES, 10)))
+spec_texts = st.builds(
+    lambda gens, rels, extra: "\n".join(("[presentation p]", f"generators = {gens}",
+                                         *rels, *extra)),
+    generator_lists, st.lists(relation_lines, max_size=4),
+    st.lists(config_lines(), max_size=1))
+
+
+def run_with_file(text, argv):
+    """Exit code and stderr of ``cli.main(argv(path))`` with ``text`` at path."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.cfg")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv(path))
+    return code, err.getvalue()
+
+
 class TestParsers:
     @FUZZ_SETTINGS
     @given(texts(POLY_TOKENS, 20), st.sampled_from((INTEGERS, integers_mod(3))))
@@ -98,16 +132,20 @@ class TestCommandLine:
     @settings(max_examples=60, deadline=None)
     @given(config_texts)
     def test_config_file_exits_0_or_2(self, text):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "fuzz.cfg")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(["--config", path, "check", "--name", "point-class"])
-        assert code in (0, 2), err.getvalue()
+        code, err = run_with_file(
+            text, lambda path: ["--config", path, "check", "--name", "point-class"])
+        assert code in (0, 2), err
         if code == 2:
-            assert err.getvalue().startswith("error: "), err.getvalue()
+            assert err.startswith("error: "), err
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec_texts)
+    def test_hilbert_spec_exits_0_or_2(self, text):
+        code, err = run_with_file(
+            text, lambda path: ["hilbert", "--spec", path, "--max-degree", "3"])
+        assert code in (0, 2), err
+        if code == 2:
+            assert err.startswith("error: "), err
 
 
 class TestOverlongNumbers:

@@ -8,8 +8,7 @@ from pgl3chow import intlinalg as la
 
 
 def smith_diag(a):
-    diag, _ = la._smith_reduce(a, with_right=False)
-    return diag
+    return la._smith_reduce(a)
 
 
 def sparse_rows(a):
@@ -23,21 +22,14 @@ def dense_invariant_factors(a):
     return la.invariant_factors(sparse_rows(a), len(a[0]) if a else 0)
 
 
-def assert_right_transform_certifies(a, diag, right_t):
-    """Check ``a·right == left⁻¹·diag`` without a left transform.
-
-    ``right`` must be unimodular, and column j of ``a·right`` must be d_j
-    times a column of the unimodular ``left⁻¹``, which is primitive: its
-    content is d_j, and it is zero beyond the rank.
-    """
-    assert abs(la.bareiss_determinant(right_t)) == 1
-    product = la.matmul(a, la.transpose(right_t))
-    for j, column in enumerate(zip(*product)):
-        assert math.gcd(*column) == (diag[j] if j < len(diag) else 0)
-    nonzero = [d for d in diag if d]
-    for small, big in zip(nonzero, nonzero[1:]):
-        assert big % small == 0
-    assert all(d >= 0 for d in diag)
+def assert_hermite_transform_certifies(a):
+    """Check the Hermite transform of ``a``: ``u`` is unimodular,
+    ``u[:r]·a == h`` and ``u[r:]·a == 0``."""
+    h, u = la.hermite_normal_form(a)
+    r = len(h)
+    assert abs(la.bareiss_determinant(u)) == 1
+    assert la.matmul(u[:r], a) == h
+    assert all(x == 0 for row in la.matmul(u[r:], a) for x in row)
 
 
 class TestSmith:
@@ -51,34 +43,30 @@ class TestSmith:
         assert smith_diag(la.identity(4)) == (1, 1, 1, 1)
 
     def test_certifying_identity(self):
+        # A square nonsingular matrix: the invariant factors multiply to the
+        # absolute determinant, which Bareiss elimination computes apart.
         a = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-        diag, right_t = la._smith_reduce(a, with_right=True)
+        diag = smith_diag(a)
         assert diag == (2, 2, 156)
-        assert_right_transform_certifies(a, diag, right_t)
+        assert math.prod(diag) == abs(la.bareiss_determinant(a))
 
     def test_divisibility_chain(self):
         assert smith_diag([[6, 0], [0, 4]]) == (2, 12)
 
     def test_golden_transforms(self):
         # The first unit (row 1, column 2) comes after larger entries in
-        # row-major order; diag and the right transform are pinned, not only
-        # their certificate.
+        # row-major order; the diagonal is pinned, not only its certificate.
         a = [[6, 4, 10, 8], [4, -3, 1, 2], [8, 6, 14, 12], [2, 4, 2, 4],
              [9, 3, 15, 6]]
-        diag, right_t = la._smith_reduce(a, with_right=True)
-        assert diag == (1, 1, 2, 4)
-        assert la.transpose(right_t) == [[0, 107, 52, -4080],
-                                         [0, 53, 27, -2118],
-                                         [1, -269, -105, 8248],
-                                         [0, 0, -11, 859]]
-        assert la._smith_reduce(a, with_right=False) == (diag, None)
+        assert smith_diag(a) == (1, 1, 2, 4)
+        assert dense_invariant_factors(a) == (1, 1, 2, 4)
 
 
 class TestInvariantFactors:
     def test_content_division_needs_no_dense_form(self, monkeypatch):
         # No unit: divide by the content 2, pivot on the 1, and the 1x1
         # remainder -2 has content 2 again.
-        def dense(a, with_right):
+        def dense(a):
             raise AssertionError("dense Smith form reached")
         monkeypatch.setattr(la, "_smith_reduce", dense)
         assert dense_invariant_factors([[2, 4], [6, 8]]) == (2, 4)
@@ -89,14 +77,14 @@ class TestInvariantFactors:
         seen = []
         dense = la._smith_reduce
 
-        def spy(rest, with_right):
-            seen.append((rest, with_right))
-            return dense(rest, with_right)
+        def spy(rest):
+            seen.append(rest)
+            return dense(rest)
         monkeypatch.setattr(la, "_smith_reduce", spy)
         # Content 2, one unit pivot, then [[2, 3], [3, 2]]: content 1 and
         # no unit, so it goes to the dense form, scaled back by 2.
         assert dense_invariant_factors(a) == expected == (2, 2, 10)
-        assert seen == [([[2, 3], [3, 2]], False)]
+        assert seen == [[[2, 3], [3, 2]]]
 
     def test_empty_and_zero(self):
         assert la.invariant_factors([], 0) == ()
@@ -129,36 +117,47 @@ class TestInvariantFactors:
 
 
 class TestKernel:
+    """``left_kernel`` of the transposed matrix: the kernel ``{v : A v = 0}``."""
+
     def test_sum_vector(self):
-        kernel = la.kernel_basis([[1, 1, 1]])
+        kernel = la.left_kernel(la.transpose([[1, 1, 1]]))
         assert len(kernel) == 2
-        expected = la.hermite_normal_form([[1, -1, 0], [0, 1, -1]])
-        assert la.hermite_normal_form(kernel) == expected
+        expected, _ = la.hermite_normal_form([[1, -1, 0], [0, 1, -1]])
+        assert la.hermite_normal_form(kernel)[0] == expected
 
     def test_identity_has_trivial_kernel(self):
-        assert la.kernel_basis(la.identity(3)) == []
+        assert la.left_kernel(la.transpose(la.identity(3))) == []
 
     def test_saturation(self):
-        kernel = la.kernel_basis([[2, -2]])
-        assert la.hermite_normal_form(kernel) == [[1, 1]]
+        kernel = la.left_kernel(la.transpose([[2, -2]]))
+        assert la.hermite_normal_form(kernel)[0] == [[1, 1]]
         assert dense_invariant_factors(kernel) == (1,)
 
     def test_kernel_vectors_annihilate(self):
         a = [[3, 1, -2, 0], [1, 0, 4, 2]]
-        for v in la.kernel_basis(a):
+        for v in la.left_kernel(la.transpose(a)):
             assert la.matmul(a, [[c] for c in v]) == [[0], [0]]
 
     def test_certificate_failure_raises(self, monkeypatch):
-        reduce = la._smith_reduce
+        # Each corruption of the transform's kernel rows breaks one check:
+        # a doubled row spans an unsaturated lattice, a dropped row falls
+        # short of the rank, and a replaced row does not annihilate.
+        hermite = la.hermite_normal_form
+        gens = la.transpose([[1, 1, 1]])
+        corruptions = (lambda u: u[:-1] + [[2 * x for x in u[-1]]],
+                       lambda u: u[:-1],
+                       lambda u: u[:-1] + [[1, 0, 0]])
+        for corrupt in corruptions:
+            monkeypatch.setattr(la, "hermite_normal_form",
+                                lambda g, corrupt=corrupt: (
+                                    hermite(g)[0], corrupt(hermite(g)[1])))
+            with pytest.raises(ArithmeticError):
+                la.left_kernel(gens)
 
-        def corrupted(a, with_right):
-            diag, right_t = reduce(a, with_right)
-            right_t[-1] = [1] + [0] * (len(right_t) - 1)
-            return diag, right_t
-
-        monkeypatch.setattr(la, "_smith_reduce", corrupted)
-        with pytest.raises(ArithmeticError):
-            la.kernel_basis([[1, 1, 1]])
+    def test_hermite_transform_certifies(self):
+        for a in ([[1, 1], [1, 1], [2, 0]], [[2, 4, 4], [-6, 6, 12]], [[0, 0]],
+                  [[3], [5], [7]], []):
+            assert_hermite_transform_certifies(a)
 
 
 class TestMembership:
@@ -216,6 +215,23 @@ class TestMembership:
         assert result.member and result.certificate == (2,)
 
 
+    def test_modular_nonmember_has_separating_vector(self):
+        # (1, 0) is outside the F3-span of (1, 1); y = (1, 2) separates.
+        gens = [[1, 1]]
+        result = la.membership([1, 0], gens, modulus=3)
+        assert not result.member
+        y = result.certificate
+        assert sum(t * c for t, c in zip([1, 0], y)) % 3
+        assert all(sum(g * c for g, c in zip(row, y)) % 3 == 0 for row in gens)
+        # A member has no separating vector to claim.
+        assert la._separating_vector([2, 2], gens, 3) is None
+
+    def test_unproven_nonmember_raises(self, monkeypatch):
+        monkeypatch.setattr(la, "_separating_vector", lambda t, g, m: None)
+        with pytest.raises(ArithmeticError):
+            la.membership([1, 0], [[1, 1]], modulus=3)
+
+
 class TestSolvers:
     def test_solve_left_none_when_unsolvable(self):
         assert la.solve_left([1], [[2]]) is None
@@ -225,6 +241,17 @@ class TestSolvers:
         assert solution is not None
         from fractions import Fraction
         assert solution == [Fraction(1, 2)]
+
+    def test_rational_solution_multiplies_back(self):
+        from fractions import Fraction
+        # Dependent rows, so the rational solution is not unique.
+        gens = [[2, 0], [0, 3], [4, 3]]
+        target = [1, 1]
+        solution = la.solve_left_rational(target, gens)
+        assert any(c.denominator != 1 for c in solution)
+        assert [sum(c * g[j] for c, g in zip(solution, gens))
+                for j in range(2)] == [Fraction(t) for t in target]
+        assert la.solve_left(target, gens) is None
 
     def test_rational_none_when_inconsistent(self):
         assert la.solve_left_rational([1, 1], [[1, 0]]) is None
