@@ -35,7 +35,12 @@ from .groups import (
     transported_group,
 )
 from .poly import INTEGERS, NotHomogeneousError, Polynomial, context, parse
-from .presented import component_of_rows, relation_rows, rstar_presentation
+from .presented import (
+    component_of_rows,
+    partition_series,
+    relation_rows,
+    rstar_presentation,
+)
 from .repcalc import (
     A3MU3_AB,
     T_GL3,
@@ -45,14 +50,11 @@ from .repcalc import (
     TO_XY,
     TWIST_EMBEDDING,
     XY_EMBEDDING,
-    chern_class,
-    direct_sum,
+    chern_classes,
     express_in,
     restrict_poly,
     restrict_rep,
     standard,
-    subtract,
-    trivial,
 )
 
 
@@ -158,8 +160,8 @@ def theta_torus() -> Polynomial:
 
 
 def w_chern_torus() -> tuple[Polynomial, Polynomial]:
-    w = standard("W_A3T")
-    return chern_class(w, 2), chern_class(w, 3)
+    c = chern_classes(standard("W_A3T"))
+    return c[2], c[3]
 
 
 def delta_torus() -> Polynomial:
@@ -184,13 +186,13 @@ def describe_substitution(group: MatrixGroup, label: str) -> str:
 
 
 def _sl3_chern_data() -> dict[str, Polynomial]:
-    sl3 = standard("sl3")
-    sym3 = standard("Sym3E_PGL3")
+    c_sl3 = chern_classes(standard("sl3"))
+    c_sym3 = chern_classes(standard("Sym3E_PGL3"))
     return {
-        "c2_sl3": chern_class(sl3, 2),
-        "c6_sl3": chern_class(sl3, 6),
-        "c2_sym3": chern_class(sym3, 2),
-        "c3_sym3": chern_class(sym3, 3),
+        "c2_sl3": c_sl3[2],
+        "c6_sl3": c_sl3[6],
+        "c2_sym3": c_sym3[2],
+        "c3_sym3": c_sym3[3],
     }
 
 
@@ -577,13 +579,12 @@ def _a3mu3_variables() -> tuple[Polynomial, Polynomial]:
 
 def _check_a3mu3_chern(max_degree: int | None) -> tuple[bool, Witnesses]:
     a, b = _a3mu3_variables()
-    w = standard("W_A3mu3")
-    sl3_finite = subtract(standard("reg_A3mu3"), trivial(A3MU3_AB))
+    c_w = chern_classes(standard("W_A3mu3"))
+    c_sl3 = chern_classes(standard("sl3_A3mu3"))
     cases = [
-        ("c2(W)", chern_class(w, 2), -(a ** 2)),
-        ("c3(W)", chern_class(w, 3), b * (b ** 2 - a ** 2)),
-        ("c8(sl3)", chern_class(sl3_finite, 8),
-         (a * b) ** 2 * (b ** 2 - a ** 2) ** 2),
+        ("c2(W)", c_w[2], -(a ** 2)),
+        ("c3(W)", c_w[3], b * (b ** 2 - a ** 2)),
+        ("c8(sl3)", c_sl3[8], (a * b) ** 2 * (b ** 2 - a ** 2) ** 2),
     ]
     ok = True
     wit: Witnesses = []
@@ -598,10 +599,8 @@ def _check_a3mu3_chern(max_degree: int | None) -> tuple[bool, Witnesses]:
 
 def _check_rho_squared(max_degree: int | None) -> tuple[bool, Witnesses]:
     a, _ = _a3mu3_variables()
-    w = standard("W_A3mu3")
-    sl3_finite = subtract(standard("reg_A3mu3"), trivial(A3MU3_AB))
-    rho_restricted = a * chern_class(w, 3)
-    c8 = chern_class(sl3_finite, 8)
+    rho_restricted = a * chern_classes(standard("W_A3mu3"))[3]
+    c8 = chern_classes(standard("sl3_A3mu3"))[8]
     difference = rho_restricted ** 2 - c8
     wit: Witnesses = [
         ("rho restricted: a*c3(W)", rho_restricted.render()),
@@ -647,8 +646,8 @@ _SL3_EXPECTED = {
 
 def _check_sl3_restriction(max_degree: int | None) -> tuple[bool, Witnesses]:
     data = _sl3_chern_data()
-    e_sl3 = restrict_rep(standard("E"), TO_SL3)
-    gens = {"a2": chern_class(e_sl3, 2), "a3": chern_class(e_sl3, 3)}
+    c_e = chern_classes(restrict_rep(standard("E"), TO_SL3))
+    gens = {"a2": c_e[2], "a3": c_e[3]}
     gen_ctx = context(("a2", "a3"), (2, 3))
     ok = True
     wit: Witnesses = []
@@ -742,60 +741,32 @@ def _check_repring_generators(bound: int) -> tuple[bool, Witnesses]:
         for b in range(bound + 1 - a):
             if (a + 2 * b) % 3 != 0:
                 continue
-            found = None
-            for i in range(a // 3 + 1):
-                for j in range(min(a, b) + 1):
-                    rem_a = a - 3 * i - j
-                    rem_b = b - j
-                    if rem_a == 0 and rem_b >= 0 and rem_b % 3 == 0:
-                        found = (i, j, rem_b // 3)
-                        break
-                if found:
-                    break
-            if found is None:
+            # Admissible means a = b (mod 3), so (a, b) = i*(3,0) + j*(1,1)
+            # + k*(0,3) with j = a mod 3; the recombination is the certificate.
+            j = a % 3
+            i, k = (a - j) // 3, (b - j) // 3
+            if 3 * i + j == a and j + 3 * k == b and min(i, j, k) >= 0:
+                decomposed += 1
+            else:
                 ok = False
                 wit.append(("counterexample monoid",
                             f"s1^{a}*s2^{b} admissible but not in "
                             f"<(3,0),(1,1),(0,3)>"))
-            else:
-                i, j, k = found
-                if 3 * i + j == a and j + 3 * k == b:
-                    decomposed += 1
-                else:
-                    ok = False
-                    wit.append(("counterexample monoid",
-                                f"s1^{a}*s2^{b}: i={i}, j={j}, k={k} does not "
-                                f"recombine to ({a}, {b})"))
     wit.append(("admissible monomials decomposed",
                 f"{decomposed} up to total degree {bound}"))
     return ok, wit
 
 
 def _check_regular_rep_vanishing(max_degree: int | None) -> tuple[bool, Witnesses]:
-    reg = standard("reg_A3mu3")
-    sl3_finite = subtract(reg, trivial(A3MU3_AB))
-    sym3_finite = direct_sum(reg, trivial(A3MU3_AB))
     ok = True
     wit: Witnesses = []
-    for name, rep in (("sl3 = reg - 1", sl3_finite), ("Sym3E = reg + 1", sym3_finite)):
-        for i in range(1, 5):
-            value = chern_class(rep, i)
+    for name, key in (("sl3 = reg - 1", "sl3_A3mu3"), ("Sym3E = reg + 1", "Sym3E_A3mu3")):
+        for i, value in enumerate(chern_classes(standard(key))[1:5], 1):
             wit.append((f"c{i} of {name}", value.render()))
             if value:
                 ok = False
                 wit.append((f"counterexample c{i} of {name}", value.render()))
     return ok, wit
-
-
-def _partition_series(parts: Sequence[int], bound: int) -> list[int]:
-    """``[t^d] prod_k 1/(1 - t^k)`` over ``k`` in ``parts``, for
-    ``d = 0..bound``: the number of monomials of degree ``d`` in generators
-    of degrees ``parts``, exactly in integers."""
-    coeffs = [1] + [0] * bound
-    for k in parts:
-        for n in range(k, bound + 1):
-            coeffs[n] += coeffs[n - k]
-    return coeffs
 
 
 def _check_rstar_structure(bound: int) -> tuple[bool, Witnesses]:
@@ -819,8 +790,8 @@ def _check_rstar_structure(bound: int) -> tuple[bool, Witnesses]:
     predicted table adds a counterexample witness; a pass adds none.
     """
     pres = rstar_presentation()
-    free_ranks = _partition_series((2, 3), bound)
-    mod3_dims = _partition_series((2, 3, 4, 6, 6), bound)
+    free_ranks = partition_series((2, 3), bound)
+    mod3_dims = partition_series((2, 3, 4, 6, 6), bound)
     ok = True
     wit: Witnesses = []
     lines = []

@@ -15,7 +15,14 @@ from typing import Sequence
 
 from . import checks
 from .checks import CheckConfigError, Report, UnknownCheckError
-from .config import MAX_DEGREE, ConfigError, UserConfig, check_degree_bound, load_config
+from .config import (
+    MAX_DEGREE,
+    ConfigError,
+    UserConfig,
+    check_basis_width,
+    check_degree_bound,
+    load_config,
+)
 from .presented import BUILTIN_PRESENTATIONS, RingPresentation, graded_component
 
 REPORT_VERSION = "1"
@@ -170,6 +177,7 @@ def cmd_check(args: argparse.Namespace, config: Config) -> int:
 def cmd_hilbert(args: argparse.Namespace) -> int:
     try:
         pres = _resolve_presentation(args.spec)
+        check_basis_width(pres, args.max_degree)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

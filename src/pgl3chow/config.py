@@ -12,7 +12,8 @@ Grammar (line oriented; ``#`` starts a comment, blank lines are ignored)::
 
 Unknown section kinds and unknown keys are rejected rather than ignored.
 Every degree bound given as input, here or by ``--max-degree``, is checked
-by :func:`check_degree_bound` against the one limit ``MAX_DEGREE``.
+by :func:`check_degree_bound` against the one limit ``MAX_DEGREE``, and
+``hilbert`` checks each degree's basis width against ``MAX_BASIS_WIDTH``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .presented import RingPresentation
+from .presented import RingPresentation, partition_series
 
 
 class ConfigError(ValueError):
@@ -33,6 +34,11 @@ class ConfigError(ValueError):
 # beyond it.
 MAX_DEGREE = 64
 
+# The widest graded component ``hilbert`` builds: the number of generator
+# monomials of one degree, the column count of its relation matrix.
+# builtin:Rstar needs 3,843 at degree 64.
+MAX_BASIS_WIDTH = 4096
+
 
 def check_degree_bound(bound: int, what: str) -> int:
     """Return ``bound`` if it lies in ``[0, MAX_DEGREE]``; else raise
@@ -40,6 +46,17 @@ def check_degree_bound(bound: int, what: str) -> int:
     if not 0 <= bound <= MAX_DEGREE:
         raise ConfigError(f"{what} must be between 0 and {MAX_DEGREE}, got {bound}")
     return bound
+
+
+def check_basis_width(pres: RingPresentation, bound: int) -> None:
+    """Raise ConfigError if some degree ``0..bound`` of ``pres`` has more
+    than ``MAX_BASIS_WIDTH`` monomials; counted from the generator degrees
+    alone, before any monomial is built."""
+    widths = partition_series([d for _, d in pres.generators], bound)
+    for d, width in enumerate(widths):
+        if width > MAX_BASIS_WIDTH:
+            raise ConfigError(f"degree {d} has {width} basis monomials, over the "
+                              f"limit of {MAX_BASIS_WIDTH}; lower --max-degree")
 
 
 @dataclass

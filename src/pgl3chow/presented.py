@@ -72,6 +72,17 @@ class GradedComponent:
         return " ⊕ ".join(parts) if parts else "0"
 
 
+def partition_series(parts: Sequence[int], bound: int) -> list[int]:
+    """``[t^d] prod_k 1/(1 - t^k)`` over ``k`` in ``parts``, for
+    ``d = 0..bound``: the number of monomials of degree ``d`` in generators
+    of degrees ``parts``, exactly in integers."""
+    coeffs = [1] + [0] * bound
+    for k in parts:
+        for n in range(k, bound + 1):
+            coeffs[n] += coeffs[n - k]
+    return coeffs
+
+
 def relation_rows(pres: RingPresentation, d: int
                   ) -> tuple[tuple[Exponent, ...], list[dict[int, int]]]:
     """Degree-d monomial basis and the sparse rows of the relation*monomial

@@ -52,9 +52,6 @@ class Lattice:
             coords = tuple(((c + half) % m) - half for c in coords)
         return coords
 
-    def weight_form(self, w: Weight) -> Polynomial:
-        return Polynomial.linear_form(self.ctx, list(w), self.ring)
-
 
 class RepresentationError(ValueError):
     pass
@@ -91,18 +88,11 @@ class VirtualRep:
     def dimension(self) -> int:
         return sum(m for _, m in self.weights)
 
-    @property
-    def is_genuine(self) -> bool:
-        return all(m > 0 for _, m in self.weights)
-
-    def weight_list(self) -> list[Weight]:
-        """Weights repeated with multiplicity; only for genuine representations."""
-        if not self.is_genuine:
+    def genuine_weights(self) -> tuple[tuple[Weight, int], ...]:
+        """The (weight, multiplicity) pairs; only for genuine representations."""
+        if any(m < 0 for _, m in self.weights):
             raise RepresentationError("virtual representation has negative multiplicities")
-        out: list[Weight] = []
-        for w, m in self.weights:
-            out.extend([w] * m)
-        return out
+        return self.weights
 
 
 # ---- constructors ----------------------------------------------------------
@@ -147,7 +137,7 @@ def tensor(r: VirtualRep, s: VirtualRep) -> VirtualRep:
 
 
 def sym_power(r: VirtualRep, k: int) -> VirtualRep:
-    ws = r.weight_list()
+    ws = [w for w, m in r.genuine_weights() for _ in range(m)]
     items = []
     for combo in itertools.combinations_with_replacement(ws, k):
         items.append(tuple(sum(cs) for cs in zip(*combo)) if combo else (0,) * r.lattice.rank)
@@ -164,24 +154,20 @@ def twist(r: VirtualRep, w: Sequence[int]) -> VirtualRep:
 # ---- Chern classes ----------------------------------------------------------
 
 
-def chern_class(r: VirtualRep, i: int) -> Polynomial:
-    """i-th elementary symmetric polynomial of the weight multiset."""
-    if i < 0:
-        raise ValueError("negative Chern degree")
+def chern_classes(r: VirtualRep) -> tuple[Polynomial, ...]:
+    """Total Chern class ``(c_0, ..., c_n)`` of a genuine representation of
+    dimension ``n``: the elementary symmetric polynomials of its weights'
+    linear forms, from one pass of ``e[k] += e[k-1]*form`` per weight copy.
+    Each distinct weight's form is built once."""
     lattice = r.lattice
-    ws = r.weight_list()
-    if i == 0:
-        return Polynomial.constant(lattice.ctx, 1, lattice.ring)
-    if i > len(ws):
-        return Polynomial.zero(lattice.ctx, lattice.ring)
-    # e_i by one pass of the Newton-girard style update e[k] += w * e[k-1].
-    e = [Polynomial.zero(lattice.ctx, lattice.ring) for _ in range(i + 1)]
-    e[0] = Polynomial.constant(lattice.ctx, 1, lattice.ring)
-    for w in ws:
-        form = lattice.weight_form(w)
-        for k in range(i, 0, -1):
-            e[k] = e[k] + e[k - 1] * form
-    return e[i]
+    e = [Polynomial.constant(lattice.ctx, 1, lattice.ring)]
+    for w, m in r.genuine_weights():
+        form = Polynomial.linear_form(lattice.ctx, list(w), lattice.ring)
+        for _ in range(m):
+            e.append(e[-1] * form)
+            for k in range(len(e) - 2, 0, -1):
+                e[k] = e[k] + e[k - 1] * form
+    return tuple(e)
 
 
 # ---- lattice maps -----------------------------------------------------------
@@ -343,6 +329,9 @@ def _build_reps() -> dict[str, VirtualRep]:
         "W_A3T": w_torus,
         "W_A3mu3": w_a3mu3,
         "reg_A3mu3": reg,
+        # Restricted to A3 x mu3 the adjoint is reg - 1 and Sym3E is reg + 1.
+        "sl3_A3mu3": subtract(reg, trivial(A3MU3_AB)),
+        "Sym3E_A3mu3": direct_sum(reg, trivial(A3MU3_AB)),
     }
 
 

@@ -28,17 +28,16 @@ from pgl3chow.repcalc import (
     TO_SL3,
     TO_XY,
     VirtualRep,
-    chern_class,
+    chern_classes,
     direct_sum,
     dual,
     express_in,
     restrict_poly,
     restrict_rep,
     standard,
-    subtract,
-    trivial,
 )
 from test_intlinalg import assert_hermite_transform_certifies, dense_invariant_factors
+from test_repcalc import alternating_signs, cauchy_product
 
 
 def _verdict_line(number: int, name: str, ok: bool) -> None:
@@ -54,13 +53,13 @@ def test_criterion_01_gamma_generation():
 
 def test_criterion_02_hsurj_restrictions():
     gammas = gamma_generators()
-    sl3 = standard("sl3")
-    sym3 = standard("Sym3E_PGL3")
+    c_sl3 = chern_classes(standard("sl3"))
+    c_sym3 = chern_classes(standard("Sym3E_PGL3"))
     targets = [
-        (chern_class(sl3, 2), "gamma2"),
-        (chern_class(sym3, 2), "gamma2"),
-        (chern_class(sym3, 3), "gamma3"),
-        (chern_class(sl3, 6), "gamma6"),
+        (c_sl3[2], "gamma2"),
+        (c_sym3[2], "gamma2"),
+        (c_sym3[3], "gamma3"),
+        (c_sl3[6], "gamma6"),
     ]
     computed = []
     for target, gen_name in targets:
@@ -103,11 +102,9 @@ def test_criterion_05_a3mu3_chern_and_rho_squared():
     ctx = A3MU3_AB.ctx
     a = Polynomial.variable(ctx, "a", ring)
     b = Polynomial.variable(ctx, "b", ring)
-    w = standard("W_A3mu3")
-    sl3_finite = subtract(standard("reg_A3mu3"), trivial(A3MU3_AB))
-    c2w = chern_class(w, 2)
-    c3w = chern_class(w, 3)
-    c8 = chern_class(sl3_finite, 8)
+    c_w = chern_classes(standard("W_A3mu3"))
+    c2w, c3w = c_w[2], c_w[3]
+    c8 = chern_classes(standard("sl3_A3mu3"))[8]
     ok = (c2w == -(a ** 2)
           and c3w == b * (b ** 2 - a ** 2)
           and c8 == (a * b) ** 2 * (b ** 2 - a ** 2) ** 2
@@ -147,16 +144,15 @@ def test_criterion_06_alphabeta_nonmembership():
 
 
 def test_criterion_07_sl3_restriction():
-    sl3 = standard("sl3")
-    sym3 = standard("Sym3E_PGL3")
-    e_sl3 = restrict_rep(standard("E"), TO_SL3)
-    a2 = chern_class(e_sl3, 2)
-    a3 = chern_class(e_sl3, 3)
+    c_sl3 = chern_classes(standard("sl3"))
+    c_sym3 = chern_classes(standard("Sym3E_PGL3"))
+    c_e = chern_classes(restrict_rep(standard("E"), TO_SL3))
+    a2, a3 = c_e[2], c_e[3]
     ok = True
-    ok &= restrict_poly(chern_class(sl3, 2), TO_SL3) == 6 * a2
-    ok &= restrict_poly(chern_class(sym3, 2), TO_SL3) == 15 * a2
-    ok &= restrict_poly(chern_class(sym3, 3), TO_SL3) == 27 * a3
-    lam_printed = 2 * chern_class(sl3, 2) - chern_class(sym3, 2)
+    ok &= restrict_poly(c_sl3[2], TO_SL3) == 6 * a2
+    ok &= restrict_poly(c_sym3[2], TO_SL3) == 15 * a2
+    ok &= restrict_poly(c_sym3[3], TO_SL3) == 27 * a3
+    lam_printed = 2 * c_sl3[2] - c_sym3[2]
     lam_printed_image = restrict_poly(lam_printed, TO_SL3)
     ok &= lam_printed_image == -3 * a2
     print("ACCEPTANCE 07 note: computed image of 2*c2(sl3) - c2(Sym3E) is "
@@ -165,12 +161,12 @@ def test_criterion_07_sl3_restriction():
     # The torsion relation holds for the lambda with restriction +3*a2,
     # i.e. lambda = c2(Sym3E) - 2*c2(sl3).
     lam = -lam_printed
-    relation = 27 * chern_class(sl3, 6) - chern_class(sym3, 3) ** 2 - 4 * lam ** 3
+    relation = 27 * c_sl3[6] - c_sym3[3] ** 2 - 4 * lam ** 3
     ok &= not restrict_poly(relation, TO_SL3)
     _verdict_line(7, "sl3-restriction (6*a2, 15*a2, 27*a3, relation -> 0)", ok)
-    assert restrict_poly(chern_class(sl3, 2), TO_SL3) == 6 * a2
-    assert restrict_poly(chern_class(sym3, 2), TO_SL3) == 15 * a2
-    assert restrict_poly(chern_class(sym3, 3), TO_SL3) == 27 * a3
+    assert restrict_poly(c_sl3[2], TO_SL3) == 6 * a2
+    assert restrict_poly(c_sym3[2], TO_SL3) == 15 * a2
+    assert restrict_poly(c_sym3[3], TO_SL3) == 27 * a3
     assert lam_printed_image == -3 * a2
     assert not restrict_poly(relation, TO_SL3)
 
@@ -183,13 +179,12 @@ def test_criterion_08_repring_generators():
 
 
 def test_criterion_09_regular_rep_vanishing():
-    reg = standard("reg_A3mu3")
-    sl3_finite = subtract(reg, trivial(A3MU3_AB))
-    sym3_finite = direct_sum(reg, trivial(A3MU3_AB))
+    sl3_finite = standard("sl3_A3mu3")
+    sym3_finite = standard("Sym3E_A3mu3")
     assert sl3_finite.dimension == 8
     assert sym3_finite.dimension == 10
-    ok = all(not chern_class(rep, i)
-             for rep in (sl3_finite, sym3_finite) for i in range(1, 5))
+    ok = all(not c for rep in (sl3_finite, sym3_finite)
+             for c in chern_classes(rep)[1:5])
     _verdict_line(9, "regular-rep-vanishing (c1..c4 = 0 over Z/3)", ok)
     assert ok
 
@@ -272,26 +267,20 @@ def test_criterion_11_property_suites():
     for _ in range(N_INSTANCES):  # Whitney formula
         r = _random_rep(rng, 2)
         s = _random_rep(rng, 2)
-        total = direct_sum(r, s)
-        for i in range(r.dimension + s.dimension + 1):
-            convolution = Polynomial.zero(T_GL3.ctx)
-            for j in range(i + 1):
-                convolution = convolution + chern_class(r, j) * chern_class(s, i - j)
-            assert chern_class(total, i) == convolution
+        assert chern_classes(direct_sum(r, s)) == \
+            cauchy_product(chern_classes(r), chern_classes(s))
 
     for _ in range(N_INSTANCES):  # duality sign rule
         r = _random_rep(rng)
-        for i in range(r.dimension + 1):
-            sign = 1 if i % 2 == 0 else -1
-            assert chern_class(dual(r), i) == sign * chern_class(r, i)
+        assert chern_classes(dual(r)) == alternating_signs(chern_classes(r))
 
     maps = (TO_XY, TO_SL3)
     for _ in range(N_INSTANCES):  # chern/restrict naturality
         r = _random_rep(rng)
         lattice_map = maps[rng.randint(0, 1)]
-        for i in range(min(r.dimension, 3) + 1):
-            assert restrict_poly(chern_class(r, i), lattice_map) == \
-                chern_class(restrict_rep(r, lattice_map), i)
+        restricted = chern_classes(restrict_rep(r, lattice_map))
+        for i, c in enumerate(chern_classes(r)[:4]):
+            assert restrict_poly(c, lattice_map) == restricted[i]
 
     for _ in range(N_INSTANCES):  # Hermite transform certificate
         assert_hermite_transform_certifies(_random_matrix(rng))

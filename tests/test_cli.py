@@ -7,7 +7,16 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from pgl3chow import cli
-from pgl3chow.config import MAX_DEGREE, ConfigError, check_degree_bound, parse_config
+from pgl3chow.config import (
+    MAX_BASIS_WIDTH,
+    MAX_DEGREE,
+    ConfigError,
+    check_basis_width,
+    check_degree_bound,
+    parse_config,
+)
+from pgl3chow.poly import VariableContext
+from pgl3chow.presented import rstar_presentation
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +149,30 @@ class TestHilbert:
                                "--max-degree", "3")
         assert code == 0
         assert out.splitlines() == ["0: Z", "1: Z/3", "2: Z/3", "3: Z/3"]
+
+    def test_wide_basis_exits_2_before_any_monomial(self, capsys, tmp_path,
+                                                    monkeypatch):
+        # Twelve generators of degree 1 have C(75, 11), about 4.9e12,
+        # monomials in degree 64; the count from the degrees alone stops the
+        # run at degree 5, before a single monomial is enumerated.
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("[presentation wide]\ngenerators = "
+                       + " ".join(f"g{i}:1" for i in range(12))
+                       + "\nrelation = g0\n")
+
+        def refuse(*args):
+            raise AssertionError("monomials enumerated")
+
+        monkeypatch.setattr(VariableContext, "monomials_of_degree", refuse)
+        code, out, err = run_cli(capsys, "hilbert", "--spec", str(cfg),
+                                 "--max-degree", "64")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: degree 5 has 4368 basis monomials, over the "
+                       f"limit of {MAX_BASIS_WIDTH}; lower --max-degree\n")
+
+    def test_rstar_admitted_at_the_degree_limit(self):
+        check_basis_width(rstar_presentation(), MAX_DEGREE)
 
     def test_parse_failure_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "broken.cfg"

@@ -8,6 +8,7 @@ from pgl3chow.presented import (
     GradedComponent,
     RingPresentation,
     graded_component,
+    partition_series,
     relation_rows,
     rstar_presentation,
 )
@@ -72,6 +73,13 @@ class TestRelationRows:
                 assert 0 not in row.values()
                 assert all(0 <= j < len(basis) for j in row)
                 assert {basis[j]: c for j, c in row.items()} == product.terms
+
+
+class TestPartitionSeries:
+    def test_counts_the_monomial_basis(self):
+        ctx = rstar_presentation().context
+        widths = partition_series(ctx.weights, 24)
+        assert widths == [len(ctx.monomials_of_degree(d)) for d in range(25)]
 
 
 class TestRationalRanks:

@@ -1,5 +1,7 @@
 """Weight multisets, Chern classes, restrictions and generator expressions."""
 
+import itertools
+
 import pytest
 
 from pgl3chow.checks import gamma_generators
@@ -13,7 +15,7 @@ from pgl3chow.repcalc import (
     LatticeMap,
     RepresentationError,
     VirtualRep,
-    chern_class,
+    chern_classes,
     direct_sum,
     dual,
     express_in,
@@ -65,57 +67,81 @@ class TestConstructors:
 
     def test_pgl3_sym_cube_is_shift_invariant(self):
         sym3 = standard("Sym3E_PGL3")
-        for i in range(1, 11):
-            c = chern_class(sym3, i)
+        for c in chern_classes(sym3)[1:]:
             assert not c.directional_derivative((1, 1, 1))
+
+
+def cauchy_product(p, q):
+    """Coefficients of (sum_j p_j t^j)(sum_k q_k t^k): the right side of the
+    Whitney formula c(r + s) = c(r)*c(s), degree by degree."""
+    out = [Polynomial.zero(p[0].context, p[0].ring)] * (len(p) + len(q) - 1)
+    for j, pj in enumerate(p):
+        for k, qk in enumerate(q):
+            out[j + k] = out[j + k] + pj * qk
+    return tuple(out)
+
+
+def alternating_signs(c):
+    """(c_0, -c_1, c_2, ...): the Chern classes of the dual."""
+    return tuple(ci if i % 2 == 0 else -ci for i, ci in enumerate(c))
 
 
 class TestChernClasses:
     def test_c1_of_adjoint_vanishes(self):
-        assert not chern_class(standard("sl3"), 1)
+        assert not chern_classes(standard("sl3"))[1]
 
     def test_c0_and_beyond_dimension(self):
-        e = standard("E")
-        assert chern_class(e, 0) == Polynomial.constant(T_GL3.ctx, 1)
-        assert not chern_class(e, 4)
-
-    def test_negative_degree_rejected(self):
-        with pytest.raises(ValueError):
-            chern_class(standard("E"), -1)
+        # The tuple stops at the dimension: there is no class beyond c_3.
+        c = chern_classes(standard("E"))
+        assert len(c) == 4
+        assert c[0] == Polynomial.constant(T_GL3.ctx, 1)
 
     def test_virtual_input_rejected(self):
-        e = standard("E")
         virtual = VirtualRep(T_GL3, (((1, 0, 0), -1),))
         with pytest.raises(RepresentationError):
-            chern_class(virtual, 1)
+            chern_classes(virtual)
+
+    def test_matches_products_over_weight_subsets(self):
+        # c_i is the sum over i-element sub-multisets of the product of the
+        # weights' linear forms: an oracle sharing nothing with the one-pass
+        # update, and seeing repeated weights as separate factors.
+        for name in ("E", "sl3", "W_A3mu3", "sl3_A3mu3"):
+            rep = standard(name)
+            lattice = rep.lattice
+            forms = [Polynomial.linear_form(lattice.ctx, list(w), lattice.ring)
+                     for w, m in rep.weights for _ in range(m)]
+            expected = []
+            for i in range(len(forms) + 1):
+                total = Polynomial.zero(lattice.ctx, lattice.ring)
+                for subset in itertools.combinations(forms, i):
+                    term = Polynomial.constant(lattice.ctx, 1, lattice.ring)
+                    for form in subset:
+                        term = term * form
+                    total = total + term
+                expected.append(total)
+            assert chern_classes(rep) == tuple(expected), name
 
     def test_c2_of_w_over_a3mu3(self):
         ring = A3MU3_AB.ring
         a = Polynomial.variable(A3MU3_AB.ctx, "a", ring)
-        assert chern_class(standard("W_A3mu3"), 2) == -(a ** 2)
+        assert chern_classes(standard("W_A3mu3"))[2] == -(a ** 2)
 
     def test_c8_of_adjoint_over_a3mu3(self):
         ring = A3MU3_AB.ring
         a = Polynomial.variable(A3MU3_AB.ctx, "a", ring)
         b = Polynomial.variable(A3MU3_AB.ctx, "b", ring)
-        sl3_finite = subtract(standard("reg_A3mu3"), trivial(A3MU3_AB))
-        assert chern_class(sl3_finite, 8) == (a * b) ** 2 * (b ** 2 - a ** 2) ** 2
+        assert chern_classes(standard("sl3_A3mu3"))[8] == \
+            (a * b) ** 2 * (b ** 2 - a ** 2) ** 2
 
     def test_whitney_spot_check(self):
         e = standard("E")
         s = dual(e)
-        total = direct_sum(e, s)
-        for i in range(7):
-            convolution = Polynomial.zero(T_GL3.ctx)
-            for j in range(i + 1):
-                convolution = convolution + chern_class(e, j) * chern_class(s, i - j)
-            assert chern_class(total, i) == convolution
+        assert chern_classes(direct_sum(e, s)) == \
+            cauchy_product(chern_classes(e), chern_classes(s))
 
     def test_duality_signs(self):
         sym3 = standard("Sym3E_PGL3")
-        for i in range(5):
-            sign = 1 if i % 2 == 0 else -1
-            assert chern_class(dual(sym3), i) == sign * chern_class(sym3, i)
+        assert chern_classes(dual(sym3)) == alternating_signs(chern_classes(sym3))
 
 
 # The torus characters u1, u2, u3 restrict to b+a, b-a, b on A3 x mu3.
@@ -127,27 +153,28 @@ class TestRestriction:
         for rep_name, lattice_map in (("sl3", TO_SL3), ("E", TO_XY),
                                       ("W_A3T", TO_A3MU3)):
             rep = standard(rep_name)
+            c = chern_classes(rep)
+            restricted = chern_classes(restrict_rep(rep, lattice_map))
             for i in range(1, 4):
-                assert restrict_poly(chern_class(rep, i), lattice_map) == \
-                    chern_class(restrict_rep(rep, lattice_map), i)
+                assert restrict_poly(c[i], lattice_map) == restricted[i]
 
     def test_c2_sl3_to_sl3_torus(self):
         e_sl3 = restrict_rep(standard("E"), TO_SL3)
-        a2 = chern_class(e_sl3, 2)
-        restricted = restrict_poly(chern_class(standard("sl3"), 2), TO_SL3)
+        a2 = chern_classes(e_sl3)[2]
+        restricted = restrict_poly(chern_classes(standard("sl3"))[2], TO_SL3)
         assert restricted == 6 * a2
 
     def test_c3_sym3_to_sl3_torus(self):
         e_sl3 = restrict_rep(standard("E"), TO_SL3)
-        a3 = chern_class(e_sl3, 3)
-        restricted = restrict_poly(chern_class(standard("Sym3E_PGL3"), 3), TO_SL3)
+        a3 = chern_classes(e_sl3)[3]
+        restricted = restrict_poly(chern_classes(standard("Sym3E_PGL3"))[3], TO_SL3)
         assert restricted == 27 * a3
 
     def test_identity_lattice_map(self):
         ident = LatticeMap(T_SL3_U, T_SL3_U, ((1, 0), (0, 1)))
         w = standard("W_A3T")
         assert restrict_rep(w, ident) == w
-        c2w = chern_class(w, 2)
+        c2w = chern_classes(w)[2]
         assert restrict_poly(c2w, ident) == c2w
 
     def test_w_restriction_weights(self):
@@ -160,7 +187,12 @@ class TestCatalog:
         from pgl3chow import repcalc
         assert set(repcalc.REPRESENTATIONS) == {
             "E", "E_dual", "sl3", "Sym3E_PGL3", "Sym3E_dual_PGL3",
-            "W_A3T", "W_A3mu3", "reg_A3mu3"}
+            "W_A3T", "W_A3mu3", "reg_A3mu3", "sl3_A3mu3", "Sym3E_A3mu3"}
+
+    def test_finite_adjoint_and_sym_cube(self):
+        reg = standard("reg_A3mu3")
+        assert standard("sl3_A3mu3") == subtract(reg, trivial(A3MU3_AB))
+        assert standard("Sym3E_A3mu3") == direct_sum(reg, trivial(A3MU3_AB))
 
     def test_unknown_names_rejected(self):
         with pytest.raises(KeyError):
@@ -170,7 +202,7 @@ class TestCatalog:
         mod3 = LatticeMap(A3MU3_AB, A3MU3_AB, ((1, 0), (0, 1)))
         w = standard("W_A3mu3")
         assert restrict_rep(w, mod3) == w
-        c2w = chern_class(w, 2)
+        c2w = chern_classes(w)[2]
         assert restrict_poly(c2w, mod3) == c2w
 
     def test_mod3_lattice_uses_symmetric_representatives(self):
@@ -182,13 +214,13 @@ class TestCatalog:
 class TestExpressIn:
     def test_c2_sl3_in_gammas(self):
         gammas = gamma_generators()
-        result = express_in(chern_class(standard("sl3"), 2), gammas)
+        result = express_in(chern_classes(standard("sl3"))[2], gammas)
         assert result.ok
         assert result.expression.render() == "-2*gamma2"
 
     def test_c2_sym3_in_gammas(self):
         gammas = gamma_generators()
-        result = express_in(chern_class(standard("Sym3E_PGL3"), 2), gammas)
+        result = express_in(chern_classes(standard("Sym3E_PGL3"))[2], gammas)
         assert result.ok
         assert result.expression.render() == "-5*gamma2"
 
@@ -200,8 +232,8 @@ class TestExpressIn:
 
     def test_certificates_reexpand(self):
         gammas = gamma_generators()
-        for target in (chern_class(standard("sl3"), 2),
-                       chern_class(standard("sl3"), 6),
+        c_sl3 = chern_classes(standard("sl3"))
+        for target in (c_sl3[2], c_sl3[6],
                        gammas["gamma2"] * gammas["gamma3"]):
             result = express_in(target, gammas)
             assert result.ok
@@ -211,7 +243,7 @@ class TestExpressIn:
 
     def test_deterministic_despite_syzygy(self):
         gammas = gamma_generators()
-        target = chern_class(standard("sl3"), 6)
+        target = chern_classes(standard("sl3"))[6]
         first = express_in(target, gammas)
         second = express_in(target, gammas)
         assert first.ok and first.expression == second.expression
