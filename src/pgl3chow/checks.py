@@ -37,6 +37,7 @@ from .groups import (
 from .poly import INTEGERS, NotHomogeneousError, Polynomial, context, parse
 from .presented import (
     component_of_rows,
+    eliminate_unit_generators,
     partition_series,
     relation_rows,
     rstar_presentation,
@@ -785,11 +786,15 @@ def _check_rstar_structure(bound: int) -> tuple[bool, Witnesses]:
       ``(Z/3)^(m_d - f_d)``: a table derived in closed form, which the
       Smith invariant factors of the relation rows must match.
 
-    The relation rows of each degree are built once and read both by the
-    Smith route and by the rational-rank cross-check.  A degree off the
-    predicted table adds a counterexample witness; a pass adds none.
+    The unit relation ``rho^2 - c8`` is used up once, before the degree
+    loop, by :func:`presented.eliminate_unit_generators`: the rows are built
+    over ``lam, c3, rho, chi, c6`` with ``c8 -> rho^2``, an isomorphic ring,
+    and the implied ``3*rho^2`` stays among them.  The relation rows of each
+    degree are built once and read both by the Smith route and by the
+    rational-rank cross-check.  A degree off the predicted table adds a
+    counterexample witness; a pass adds none.
     """
-    pres = rstar_presentation()
+    pres = eliminate_unit_generators(rstar_presentation())
     free_ranks = partition_series((2, 3), bound)
     mod3_dims = partition_series((2, 3, 4, 6, 6), bound)
     ok = True

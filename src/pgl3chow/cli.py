@@ -23,7 +23,12 @@ from .config import (
     check_degree_bound,
     load_config,
 )
-from .presented import BUILTIN_PRESENTATIONS, RingPresentation, graded_component
+from .presented import (
+    BUILTIN_PRESENTATIONS,
+    RingPresentation,
+    eliminate_unit_generators,
+    graded_component,
+)
 
 REPORT_VERSION = "1"
 
@@ -181,6 +186,7 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    pres = eliminate_unit_generators(pres)
     for d in range(args.max_degree + 1):
         component = graded_component(pres, d)
         print(f"{d}: {component.render()}")

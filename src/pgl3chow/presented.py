@@ -8,6 +8,13 @@ form gives the component's free rank and invariant factors without any
 Groebner machinery.  The products are built as sparse ``{column: value}``
 rows, the input format of :func:`intlinalg.invariant_factors` and
 :func:`intlinalg.rank_over_q`, so one set of rows per degree can feed both.
+
+Unit generators are eliminated before any rows are built: callers that loop
+over degrees first pass the presentation through
+:func:`eliminate_unit_generators`, where a relation ``±g + p`` removes the
+generator ``g`` and itself by ``g -> ∓p``.  That is an isomorphism of graded
+rings, so every component is unchanged, while every degree's rows lose the
+columns of monomials containing ``g`` and the rows of ``±g + p``.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .poly import (
     Exponent,
     NotHomogeneousError,
     Polynomial,
+    RingMap,
     VariableContext,
     context,
     parse,
@@ -81,6 +89,52 @@ def partition_series(parts: Sequence[int], bound: int) -> list[int]:
         for n in range(k, bound + 1):
             coeffs[n] += coeffs[n - k]
     return coeffs
+
+
+def eliminate_unit_generators(pres: RingPresentation) -> RingPresentation:
+    """An isomorphic presentation with no relation of the form ``±g + p``.
+
+    While some relation has a term ``±1·g`` for a generator ``g`` (the first
+    such relation, and in it the first such generator), substitute
+    ``g -> ∓p`` into the other relations, then drop ``g``, that relation and
+    every relation that became zero.  Homogeneity with positive degrees keeps
+    ``g`` out of ``p``: any other term containing ``g`` would have a larger
+    degree.  Relations made redundant by the substitution stay, so every
+    graded component is the same, and the relation rows of each degree are
+    narrower and fewer.
+    """
+    generators = pres.generators
+    relations = list(pres.relations)
+    while True:
+        unit = _first_unit_term(relations)
+        if unit is None:
+            return pres
+        k, i, sign = unit
+        rel = relations.pop(k)
+        generators = generators[:i] + generators[i + 1:]
+        target = context(tuple(n for n, _ in generators),
+                         tuple(d for _, d in generators))
+        # rel = sign*g + p, so g -> -sign*p; p has no g to drop.
+        g_image = Polynomial(target, INTEGERS, {
+            e[:i] + e[i + 1:]: -sign * c
+            for e, c in rel.terms.items() if e[i] == 0})
+        images = [Polynomial.variable(target, n) for n, _ in generators]
+        images.insert(i, g_image)
+        substitute = RingMap(pres.context, target, tuple(images), INTEGERS)
+        relations = [r for r in map(substitute.apply, relations) if r]
+        pres = RingPresentation(generators, tuple(relations))
+
+
+def _first_unit_term(relations: Sequence[Polynomial]
+                     ) -> tuple[int, int, int] | None:
+    """``(relation index, generator index, ±1)`` of the first term ``±1·g``
+    with ``g`` a single generator, or None."""
+    for k, rel in enumerate(relations):
+        units = [(e.index(1), c) for e, c in rel.terms.items()
+                 if abs(c) == 1 and sum(e) == 1]
+        if units:
+            return (k, *min(units))
+    return None
 
 
 def relation_rows(pres: RingPresentation, d: int

@@ -150,6 +150,22 @@ class TestHilbert:
         assert code == 0
         assert out.splitlines() == ["0: Z", "1: Z/3", "2: Z/3", "3: Z/3"]
 
+    def test_redundant_unit_generator_prints_the_same_table(self, capsys,
+                                                            tmp_path):
+        # g - a^2 defines g by a, so the ring is Z[a]/(2*a^2) either way.
+        outputs = []
+        for gens, rels in (("a:1 g:2", ("g - a^2", "2*a^2")),
+                           ("a:1", ("2*a^2",))):
+            cfg = tmp_path / "pres.cfg"
+            cfg.write_text("[presentation p]\ngenerators = " + gens + "\n"
+                           + "".join(f"relation = {r}\n" for r in rels))
+            outputs.append(run_cli(capsys, "hilbert", "--spec", str(cfg),
+                                   "--max-degree", "6"))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
+        assert outputs[0][1].splitlines() == ["0: Z", "1: Z"] + [
+            f"{d}: Z/2" for d in range(2, 7)]
+
     def test_wide_basis_exits_2_before_any_monomial(self, capsys, tmp_path,
                                                     monkeypatch):
         # Twelve generators of degree 1 have C(75, 11), about 4.9e12,

@@ -89,6 +89,14 @@ class TestArithmetic:
         assert (3 * x).terms == (x * 3).terms == (x + x + x).terms == {}
         assert (-x).terms == {(1, 0, 0): 2}
 
+    def test_point_class_identity_needs_no_rewrite(self):
+        ctx = context(("l", "u1", "u2"))
+        l = Polynomial.variable(ctx, "l")
+        u1 = Polynomial.variable(ctx, "u1")
+        u2 = Polynomial.variable(ctx, "u2")
+        u3 = -u1 - u2
+        assert (l - u2) * (l - u3) == l ** 2 + l * u1 + u2 * u3
+
 
 class TestSubstitution:
     def test_two_variable_gamma2(self):

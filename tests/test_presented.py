@@ -1,12 +1,14 @@
-"""Graded components and rational ranks of presented rings."""
+"""Graded components, rational ranks and unit-generator elimination of
+presented rings."""
 
 import pytest
 
 from pgl3chow.intlinalg import rank_over_q
-from pgl3chow.poly import INTEGERS, NotHomogeneousError, Polynomial, context
+from pgl3chow.poly import INTEGERS, NotHomogeneousError, Polynomial
 from pgl3chow.presented import (
     GradedComponent,
     RingPresentation,
+    eliminate_unit_generators,
     graded_component,
     partition_series,
     relation_rows,
@@ -98,11 +100,38 @@ class TestRationalRanks:
         assert rational_rank(rstar_presentation(), 1) == 0
 
 
-class TestReduceInQuotient:
-    def test_point_class_identity_needs_no_rewrite(self):
-        ctx = context(("l", "u1", "u2"))
-        l = Polynomial.variable(ctx, "l")
-        u1 = Polynomial.variable(ctx, "u1")
-        u2 = Polynomial.variable(ctx, "u2")
-        u3 = -u1 - u2
-        assert (l - u2) * (l - u3) == l ** 2 + l * u1 + u2 * u3
+def relation_texts(pres):
+    return sorted(r.render() for r in pres.relations)
+
+
+class TestEliminateUnitGenerators:
+    def test_non_unit_coefficient_keeps_the_generator(self):
+        pres = RingPresentation.from_strings([("a", 1), ("g", 2)],
+                                             ["2*g + a^2"])
+        assert eliminate_unit_generators(pres) == pres
+
+    def test_bare_generator_is_dropped(self):
+        pres = RingPresentation.from_strings([("a", 1), ("g", 2)],
+                                             ["g", "3*a*g", "2*a^2"])
+        reduced = eliminate_unit_generators(pres)
+        assert reduced.generators == (("a", 1),)
+        assert relation_texts(reduced) == ["2*a^2"]
+
+    def test_chained_unit_relations_are_both_used(self):
+        pres = RingPresentation.from_strings([("a", 1), ("g", 1), ("h", 2)],
+                                             ["h - g^2", "g - a"])
+        reduced = eliminate_unit_generators(pres)
+        # g - a may spend either generator; one of degree 1 is left.
+        assert [d for _, d in reduced.generators] == [1]
+        assert reduced.relations == ()
+        for d in range(6):
+            assert graded_component(reduced, d) == graded_component(pres, d)
+
+    def test_rstar_loses_c8_and_keeps_the_implied_relation(self):
+        reduced = eliminate_unit_generators(rstar_presentation())
+        assert reduced.generators == (("lam", 2), ("c3", 3), ("rho", 4),
+                                      ("chi", 6), ("c6", 6))
+        expected = RingPresentation.from_strings(
+            reduced.generators,
+            ["3*rho", "3*chi", "3*rho^2", "81*c6 - 3*c3^2 - 12*lam^3"])
+        assert relation_texts(reduced) == relation_texts(expected)

@@ -1,11 +1,17 @@
 """Randomized law checking: ring homomorphisms, group actions, Chern-class
-identities, and integer normal forms, each over at least 200 instances."""
+identities, integer normal forms and the elimination of unit generators from
+presented rings, each over at least 200 instances."""
 
 from hypothesis import given, settings, strategies as st
 
 from pgl3chow import intlinalg as la
 from pgl3chow.checks import s3_on_u, s3_on_x
 from pgl3chow.poly import INTEGERS, Polynomial, RingMap, context, integers_mod, parse
+from pgl3chow.presented import (
+    RingPresentation,
+    eliminate_unit_generators,
+    graded_component,
+)
 from pgl3chow.repcalc import (
     T_GL3,
     TO_SL3,
@@ -271,3 +277,48 @@ class TestCanonicalForms:
                                     for n in X3.names), ring)
         assert red.apply(p * q) == red.apply(p) * red.apply(q)
         assert red.apply(p - q) == red.apply(p) - red.apply(q)
+
+
+# Up to three (monomial index, coefficient) pairs; the index is reduced
+# modulo the number of monomials of the degree at hand.
+SMALL_TERMS = st.lists(st.tuples(st.integers(0, 63), st.integers(-3, 3)),
+                       max_size=3)
+
+
+@st.composite
+def presentations_with_unit_generator(draw):
+    """One to two generators of degree 1..3, plus a generator ``g`` defined
+    by a relation ``±g + p``, among zero to two random homogeneous relations
+    that may mention ``g``."""
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    names = [f"a{i}" for i in range(len(degrees))]
+    at = draw(st.integers(0, len(degrees)))
+    names.insert(at, "g")
+    degrees.insert(at, draw(st.integers(1, 3)))
+    ctx = context(names, degrees)
+
+    def homogeneous(monomials):
+        terms = {}
+        if monomials:
+            for k, c in draw(SMALL_TERMS):
+                terms[monomials[k % len(monomials)]] = c
+        return Polynomial(ctx, INTEGERS, terms)
+
+    g_degree = degrees[at]
+    p = homogeneous([m for m in ctx.monomials_of_degree(g_degree) if not m[at]])
+    sign = draw(st.sampled_from((1, -1)))
+    relations = [homogeneous(ctx.monomials_of_degree(d))
+                 for d in draw(st.lists(st.integers(1, 4), max_size=2))]
+    relations.insert(draw(st.integers(0, len(relations))),
+                     sign * Polynomial.variable(ctx, "g") + p)
+    return RingPresentation(tuple(zip(names, degrees)), tuple(relations))
+
+
+class TestPresentationLaws:
+    @LAW_SETTINGS
+    @given(presentations_with_unit_generator())
+    def test_unit_elimination_keeps_every_component(self, pres):
+        reduced = eliminate_unit_generators(pres)
+        assert len(reduced.generators) < len(pres.generators)
+        for d in range(9):
+            assert graded_component(reduced, d) == graded_component(pres, d)
