@@ -1,8 +1,9 @@
 """Command line front end: run checks, print Hilbert tables, list the registry.
 
 Exit status: 0 when every selected check passes, 1 when any check fails,
-2 for usage or parse errors (unknown check names, bad config files), and 3
-for internal errors.  Reports go to stdout, diagnostics to stderr.
+2 for usage or parse errors (unknown check names, bad config files) and for
+input over a size limit, and 3 for internal errors.  Reports go to stdout,
+diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ from . import checks
 from .checks import CheckConfigError, Report, UnknownCheckError
 from .config import (
     MAX_DEGREE,
+    MAX_DENSE_WIDTH,
     ConfigError,
     UserConfig,
     check_basis_width,
     check_degree_bound,
     load_config,
 )
+from .intlinalg import DenseWidthError
 from .presented import (
     BUILTIN_PRESENTATIONS,
     RingPresentation,
@@ -187,9 +190,17 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     pres = eliminate_unit_generators(pres)
+    lines = []
     for d in range(args.max_degree + 1):
-        component = graded_component(pres, d)
-        print(f"{d}: {component.render()}")
+        try:
+            component = graded_component(pres, d, MAX_DENSE_WIDTH)
+        except DenseWidthError as exc:
+            print(f"error: degree {d} leaves {exc.width} columns for the dense "
+                  f"elimination, over the limit of {MAX_DENSE_WIDTH}; lower "
+                  f"--max-degree", file=sys.stderr)
+            return 2
+        lines.append(f"{d}: {component.render()}")
+    print("\n".join(lines))
     return 0
 
 

@@ -2,28 +2,28 @@
 membership.
 
 Entries are plain Python integers, so intermediate values never overflow.
-:func:`invariant_factors` and :func:`rank_over_q` read sparse rows, one
-``{column: value}`` dict per row in which a zero value counts as absent
-(:data:`SparseRow`), and work on copies, so shared rows come back unchanged;
-everything else works on row-major ``list[list[int]]`` matrices.
+:func:`invariant_factors` reads sparse rows, one ``{column: value}`` dict
+per row in which a zero value counts as absent (:data:`SparseRow`), and
+works on copies, so shared rows come back unchanged; everything else works
+on row-major ``list[list[int]]`` matrices.
 
 Two eliminations, one job each.  The Smith elimination gives invariant
 factors only and builds no transform: :func:`invariant_factors` eliminates
 ±1 pivots, deleting each pivot's row and column, and divides the remainder
 by its content whenever no unit is left (SNF(g·B) = g·SNF(B)); only a
 remainder of content 1 without a unit goes through the dense elimination,
-which pivots on the minimal nonzero entry, taking the first unit it meets.
-The Hermite elimination is the only one with a transform, and every solve
-and kernel reads it (Cohen, *A Course in Computational Algebraic Number
-Theory*, 1993, §2.4): :func:`hermite_normal_form` returns the canonical
-row-echelon form (positive pivots, entries above a pivot reduced into
-``[0, pivot)``) with a unimodular ``u``; :func:`solve_left_rational` and
-:func:`solve_left` back-substitute against it, and :func:`left_kernel`
-returns the rows of ``u`` beyond the rank, certified against
-:func:`invariant_factors`.  :func:`membership` multiplies its certificate
-back before it answers yes, and finds a separating vector before it answers
-no modulo ``m``.  :func:`rank_over_q` is the independent cross-check of the
-Smith-form rank.
+which pivots on the minimal nonzero entry, taking the first unit it meets;
+a caller can cap the width of that remainder, the one cost that no input
+bound limits.  The Hermite elimination is the only one with a transform,
+and every solve and kernel reads it (Cohen, *A Course in Computational
+Algebraic Number Theory*, 1993, §2.4): :func:`hermite_normal_form` returns
+the canonical row-echelon form (positive pivots, entries above a pivot
+reduced into ``[0, pivot)``) with a unimodular ``u``;
+:func:`solve_left_rational` and :func:`solve_left` back-substitute against
+it, and :func:`left_kernel` returns the rows of ``u`` beyond the rank,
+certified against :func:`invariant_factors`.  :func:`membership`
+multiplies its certificate back before it answers yes, and finds a
+separating vector before it answers no modulo ``m``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Matrix = list[list[int]]
 Vector = list[int]
@@ -41,6 +41,16 @@ SparseRow = Mapping[int, int]
 
 class DimensionMismatchError(ValueError):
     pass
+
+
+class DenseWidthError(ValueError):
+    """The remainder left for the dense Smith elimination is wider than the
+    caller's ``dense_limit``; ``width`` is its column count."""
+
+    def __init__(self, width: int, limit: int):
+        super().__init__(f"dense remainder of {width} columns, over the "
+                         f"limit of {limit}")
+        self.width = width
 
 
 def identity(n: int) -> Matrix:
@@ -189,7 +199,8 @@ def _smith_reduce(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(d[i][i] for i in range(k))
 
 
-def invariant_factors(rows: Sequence[SparseRow], cols: int) -> tuple[int, ...]:
+def invariant_factors(rows: Sequence[SparseRow], cols: int,
+                      dense_limit: int | None = None) -> tuple[int, ...]:
     """Smith invariant factors of the ``len(rows) x cols`` matrix whose rows
     are the sparse ``rows``: the divisibility chain, then zeros,
     ``min(len(rows), cols)`` entries in all, equal to the diagonal of the
@@ -204,7 +215,8 @@ def invariant_factors(rows: Sequence[SparseRow], cols: int) -> tuple[int, ...]:
     divided by its content ``g > 1`` and the scale multiplied by ``g``, which
     is exact because SNF(g·B) = g·SNF(B).  Only a remainder of content 1
     without a unit goes to the dense Smith elimination, which builds no
-    transform.
+    transform; if that remainder has more than ``dense_limit`` columns,
+    :class:`DenseWidthError` is raised before the elimination starts.
     """
     live: dict[int, dict[int, int]] = {}
     where: dict[int, set[int]] = {}  # column -> live rows nonzero there
@@ -236,6 +248,8 @@ def invariant_factors(rows: Sequence[SparseRow], cols: int) -> tuple[int, ...]:
         scale *= g
     if live:
         rest = sorted(where)
+        if dense_limit is not None and len(rest) > dense_limit:
+            raise DenseWidthError(len(rest), dense_limit)
         dense = [[entries.get(j, 0) for j in rest] for entries in live.values()]
         diag = _smith_reduce(dense)
         factors.extend(scale * x for x in diag if x)
@@ -286,42 +300,6 @@ def _unit_pivots(live: dict[int, dict[int, int]],
                 del where[c]
         count += 1
     return count
-
-
-def rank_over_q(rows: Iterable[SparseRow]) -> int:
-    """Row rank over Q of the sparse ``{col: value}`` rows; the cross-check
-    of the Smith-form rank.
-
-    Fraction-free integer forward elimination, independent of the Smith
-    code: each row is reduced against an echelon basis keyed by leading
-    column, divided by its content after each step, and joins the basis when
-    its leading column is new.  There is no back-substitution.  Each row is
-    read into a copy (zero values dropped), and every reduction step builds
-    a new dict, so the caller's rows come back unchanged.
-    """
-    echelon: dict[int, dict[int, int]] = {}
-    for row in rows:
-        entries = dict(row)
-        if 0 in entries.values():
-            entries = {j: x for j, x in entries.items() if x}
-        while entries:
-            lead = min(entries)
-            base = echelon.get(lead)
-            if base is None:
-                echelon[lead] = entries
-                break
-            g = math.gcd(base[lead], entries[lead])
-            p, x = base[lead] // g, entries[lead] // g
-            reduced = {j: p * v for j, v in entries.items()}
-            for j, v in base.items():
-                w = reduced.get(j, 0) - x * v
-                if w:
-                    reduced[j] = w
-                else:
-                    del reduced[j]
-            content = math.gcd(*reduced.values()) if reduced else 1
-            entries = {j: v // content for j, v in reduced.items()}
-    return len(echelon)
 
 
 # ---- Hermite normal form: every solve and kernel ---------------------------

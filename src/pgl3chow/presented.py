@@ -6,19 +6,21 @@ relation * monomial landing in degree d; since the relation ideal is
 homogeneous this span is exactly the ideal's degree-d part, so a Smith normal
 form gives the component's free rank and invariant factors without any
 Groebner machinery.  The products are built as sparse ``{column: value}``
-rows, the input format of :func:`intlinalg.invariant_factors` and
-:func:`intlinalg.rank_over_q`, so one set of rows per degree can feed both.
+rows, the input format of :func:`intlinalg.invariant_factors`.
 
-Unit generators are eliminated before any rows are built: callers that loop
-over degrees first pass the presentation through
+Unit generators and implied relations are eliminated before any rows are
+built: callers that loop over degrees first pass the presentation through
 :func:`eliminate_unit_generators`, where a relation ``±g + p`` removes the
-generator ``g`` and itself by ``g -> ∓p``.  That is an isomorphism of graded
-rings, so every component is unchanged, while every degree's rows lose the
-columns of monomials containing ``g`` and the rows of ``±g + p``.
+generator ``g`` and itself by ``g -> ∓p``, and then every relation that is
+an integer times a monomial times another relation is dropped.  Both keep
+the graded ring, up to isomorphism, so every component is unchanged, while
+every degree's rows lose the columns of monomials containing ``g`` and the
+rows of ``±g + p`` and of the implied relations.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -54,7 +56,7 @@ class RingPresentation:
                 raise NotHomogeneousError(
                     f"relation {rel.render()} is not homogeneous")
 
-    @property
+    @functools.cached_property
     def context(self) -> VariableContext:
         names = tuple(n for n, _ in self.generators)
         degrees = tuple(d for _, d in self.generators)
@@ -92,23 +94,25 @@ def partition_series(parts: Sequence[int], bound: int) -> list[int]:
 
 
 def eliminate_unit_generators(pres: RingPresentation) -> RingPresentation:
-    """An isomorphic presentation with no relation of the form ``±g + p``.
+    """An isomorphic presentation with no relation of the form ``±g + p`` and
+    no relation implied by a single other one.
 
     While some relation has a term ``±1·g`` for a generator ``g`` (the first
     such relation, and in it the first such generator), substitute
     ``g -> ∓p`` into the other relations, then drop ``g``, that relation and
     every relation that became zero.  Homogeneity with positive degrees keeps
     ``g`` out of ``p``: any other term containing ``g`` would have a larger
-    degree.  Relations made redundant by the substitution stay, so every
-    graded component is the same, and the relation rows of each degree are
-    narrower and fewer.
+    degree.  Then :func:`_drop_implied` removes every relation that is an
+    integer times a monomial times another.  Neither step changes the ideal,
+    so every graded component is the same, and the relation rows of each
+    degree are narrower and fewer.
     """
     generators = pres.generators
     relations = list(pres.relations)
     while True:
         unit = _first_unit_term(relations)
         if unit is None:
-            return pres
+            break
         k, i, sign = unit
         rel = relations.pop(k)
         generators = generators[:i] + generators[i + 1:]
@@ -123,6 +127,53 @@ def eliminate_unit_generators(pres: RingPresentation) -> RingPresentation:
         substitute = RingMap(pres.context, target, tuple(images), INTEGERS)
         relations = [r for r in map(substitute.apply, relations) if r]
         pres = RingPresentation(generators, tuple(relations))
+    kept = _drop_implied(pres.relations)
+    if len(kept) == len(pres.relations):
+        return pres
+    return RingPresentation(pres.generators, kept)
+
+
+def _drop_implied(relations: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
+    """The relations, in order, without those that are ``c·x^a`` times
+    another relation for an integer ``c`` and a monomial ``x^a``; of
+    relations that are such multiples of each other (equal up to sign), the
+    first stays.
+
+    Being a multiple is transitive, and two relations are multiples of each
+    other only when they are equal up to sign, so every dropped relation is
+    a multiple of a kept one and the ideal is unchanged.
+    """
+    kept = []
+    for k, rel in enumerate(relations):
+        for j, other in enumerate(relations):
+            if j == k or not _is_multiple(rel, other):
+                continue
+            if j < k or not _is_multiple(other, rel):
+                break
+        else:
+            kept.append(rel)
+    return tuple(kept)
+
+
+def _is_multiple(rel: Polynomial, other: Polynomial) -> bool:
+    """Whether ``rel == c·x^a·other`` for an integer ``c`` and a monomial
+    ``x^a``; the zero relation is ``0`` times any.  Multiplying by ``x^a``
+    keeps the lexicographic order of the terms, so ``x^a`` and ``c`` can
+    only be those that match the two lexicographically largest terms."""
+    if not rel.terms:
+        return True
+    if len(rel.terms) != len(other.terms):
+        return False
+    lead = max(rel.terms)
+    other_lead = max(other.terms)
+    shift = tuple(map(operator.sub, lead, other_lead))
+    if any(x < 0 for x in shift):
+        return False
+    c, r = divmod(rel.terms[lead], other.terms[other_lead])
+    if r:
+        return False
+    return all(rel.terms.get(tuple(map(operator.add, e, shift))) == c * v
+               for e, v in other.terms.items())
 
 
 def _first_unit_term(relations: Sequence[Polynomial]
@@ -164,20 +215,23 @@ def relation_rows(pres: RingPresentation, d: int
 
 
 def component_of_rows(d: int, basis: Sequence[Exponent],
-                      rows: Sequence[intlinalg.SparseRow]) -> GradedComponent:
+                      rows: Sequence[intlinalg.SparseRow],
+                      dense_limit: int | None = None) -> GradedComponent:
     """The degree-d component presented by the lattice on ``basis`` modulo
-    the sparse relation ``rows``, from their Smith invariant factors."""
-    diag = intlinalg.invariant_factors(rows, len(basis))
+    the sparse relation ``rows``, from their Smith invariant factors; see
+    :func:`intlinalg.invariant_factors` for ``dense_limit``."""
+    diag = intlinalg.invariant_factors(rows, len(basis), dense_limit)
     nonzero = [x for x in diag if x != 0]
     free_rank = len(basis) - len(nonzero)
     torsion = tuple(x for x in nonzero if x > 1)
     return GradedComponent(d, free_rank, torsion)
 
 
-def graded_component(pres: RingPresentation, d: int) -> GradedComponent:
+def graded_component(pres: RingPresentation, d: int,
+                     dense_limit: int | None = None) -> GradedComponent:
     if d < 0:
         raise ValueError("degree must be non-negative")
-    return component_of_rows(d, *relation_rows(pres, d))
+    return component_of_rows(d, *relation_rows(pres, d), dense_limit)
 
 
 def rstar_presentation() -> RingPresentation:

@@ -36,7 +36,11 @@ from pgl3chow.repcalc import (
     restrict_rep,
     standard,
 )
-from test_intlinalg import assert_hermite_transform_certifies, dense_invariant_factors
+from test_intlinalg import (
+    assert_hermite_transform_certifies,
+    dense_invariant_factors,
+    rank_over_q,
+)
 from test_repcalc import alternating_signs, cauchy_product
 
 
@@ -194,7 +198,7 @@ def test_criterion_10_rstar_structure():
     ranks = {}
     for d in range(17):
         basis, rows = relation_rows(pres, d)
-        ranks[d] = len(basis) - la.rank_over_q(rows)
+        ranks[d] = len(basis) - rank_over_q(rows)
     ok = True
     for d in range(17):
         comp = graded_component(pres, d)

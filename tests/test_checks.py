@@ -122,12 +122,69 @@ class TestVerdicts:
         assert result.verdict == "fail"
         wit = result.witness_dict()
         failures = [key for key in wit if key.startswith("counterexample")]
-        # Free and rational ranks are untouched; degrees below 6 still match.
-        assert all(key.startswith("counterexample torsion at degree ")
-                   for key in failures)
-        assert failures[0] == "counterexample torsion at degree 6"
+        # Free ranks are untouched; degrees below 6 still match; 9*chi has
+        # content 9, so the every-degree proof fails after the degree loop.
+        assert failures == ["counterexample torsion at degree 6",
+                            "counterexample torsion at degree 8",
+                            "counterexample every-degree proof"]
         assert wit[failures[0]] == \
             "invariant factors (3, 3, 9), expected 3 factors equal to 3"
+        assert wit[failures[2]] == \
+            "hypothesis fails: every relation has content 3"
+
+    def test_rstar_implied_relation_fails_only_the_proof(self, monkeypatch):
+        # 3*rho*lam + 3*chi lies in the ideal, so every component keeps its
+        # table, but it is no monomial multiple of one relation, so it stays
+        # and breaks the shape the every-degree proof needs.
+        real = presented.rstar_presentation()
+        changed = presented.RingPresentation.from_strings(
+            real.generators,
+            [r.render() for r in real.relations] + ["3*rho*lam + 3*chi"])
+        monkeypatch.setattr(checks, "rstar_presentation", lambda: changed)
+        result = checks.run_check("rstar-structure", 8)
+        assert result.verdict == "fail"
+        wit = result.witness_dict()
+        failures = [key for key in wit if key.startswith("counterexample")]
+        assert failures == ["counterexample every-degree proof"]
+        assert wit[failures[0]] == (
+            "hypothesis fails: every relation over 3 is a generator or the "
+            "one q with no such generator")
+        assert wit["graded components"] == \
+            checks.run_check("rstar-structure", 8).witness_dict()[
+                "graded components"]
+
+    def test_every_degree_proof_names_each_hypothesis(self):
+        gens = [("lam", 2), ("c3", 3), ("rho", 4), ("chi", 6), ("c6", 6)]
+        q3 = "81*c6 - 3*c3^2 - 12*lam^3"
+
+        def failure(generators, relations):
+            return checks._every_degree_failure(
+                presented.RingPresentation.from_strings(generators, relations))
+
+        assert failure(gens, ["3*rho", "3*chi", q3]) is None
+        # The proof reads the relations, not their order or signs.
+        assert failure(gens, ["-3*chi", q3, "3*rho"]) is None
+        assert failure(gens, ["3*rho", "6*chi", q3]) == \
+            "every relation has content 3"
+        assert failure(gens, ["3*rho", "3*chi", "3*rho^2", q3]).startswith(
+            "every relation over 3 is a generator")
+        assert failure(gens, ["3*rho", "3*chi"]).startswith(
+            "every relation over 3 is a generator")
+        assert failure(gens, ["3*rho", "3*chi", q3 + " + 3*rho*lam"]) \
+            .startswith("every relation over 3 is a generator")
+        # Only -2*c3^2 leads in c3, and 27*c6 and -4*lam^3 in the others.
+        assert failure(gens, ["3*rho", "3*chi",
+                              "81*c6 - 6*c3^2 - 12*lam^3"]).startswith(
+            "q has a unit coefficient")
+        # With chi free, the non-split degrees are 2, 3, 6, 6, not 2, 3, 6.
+        assert failure(gens, ["3*rho", q3]).startswith(
+            "the other generators have the degrees")
+        # A degree-5 c5 in place of c6, with q of degree 5, keeps the free
+        # ranks but not the mod-3 table.
+        assert failure([("lam", 2), ("c3", 3), ("rho", 4), ("chi", 6),
+                        ("c5", 5)],
+                       ["3*rho", "3*chi", "3*c5 - 3*lam*c3"]).startswith(
+            "the other generators have the degrees")
 
 
 def _series(numerator, weights, bound):

@@ -6,10 +6,11 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from pgl3chow import cli
+from pgl3chow import cli, intlinalg
 from pgl3chow.config import (
     MAX_BASIS_WIDTH,
     MAX_DEGREE,
+    MAX_DENSE_WIDTH,
     ConfigError,
     check_basis_width,
     check_degree_bound,
@@ -186,6 +187,30 @@ class TestHilbert:
         assert out == ""
         assert err == (f"error: degree 5 has 4368 basis monomials, over the "
                        f"limit of {MAX_BASIS_WIDTH}; lower --max-degree\n")
+
+    def test_wide_dense_remainder_exits_2_before_eliminating(
+            self, capsys, tmp_path, monkeypatch):
+        # One relation on all 276 monomials of degree 22 in a, b, c, with
+        # coefficients 2 and one 3: no unit and content 1, so its one row
+        # in degree 22 is all dense remainder, wider than the limit.
+        terms = [f"{2 + (i == 0)}*a^{i}*b^{j}*c^{22 - i - j}"
+                 for i in range(23) for j in range(23 - i)]
+        assert len(terms) == 276 > MAX_DENSE_WIDTH
+        cfg = tmp_path / "dense.cfg"
+        cfg.write_text("[presentation dense]\ngenerators = a:1 b:1 c:1\n"
+                       "relation = " + " + ".join(terms) + "\n")
+
+        def refuse(*args):
+            raise AssertionError("dense elimination started")
+
+        monkeypatch.setattr(intlinalg, "_smith_reduce", refuse)
+        code, out, err = run_cli(capsys, "hilbert", "--spec", str(cfg),
+                                 "--max-degree", "30")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: degree 22 leaves 276 columns for the dense "
+                       f"elimination, over the limit of {MAX_DENSE_WIDTH}; "
+                       f"lower --max-degree\n")
 
     def test_rstar_admitted_at_the_degree_limit(self):
         check_basis_width(rstar_presentation(), MAX_DEGREE)

@@ -3,8 +3,9 @@
 ``check_all.json`` is the output of ``check --all --format json``,
 ``gamma_generation_N.json`` that of ``check --name gamma-generation
 --max-degree N --format json`` for N = 24 and 64 (the input limit, pinning
-the Molien ranks of all 65 degrees) and ``rstar_structure_32.json`` that of
-``check --name rstar-structure --max-degree 32 --format json``, each with
+the Molien ranks of all 65 degrees) and ``rstar_structure_N.json`` that of
+``check --name rstar-structure --max-degree N --format json`` for N = 32 and
+64 (the input limit, pinning the torsion table of all 65 degrees), each with
 every result's ``elapsed_ms`` key removed, the one field that varies between
 runs; ``hilbert_rstar_N.txt`` is ``hilbert --spec builtin:Rstar
 --max-degree N`` for N = 20, 32 and 48, the last two pinning the torsion of
@@ -37,6 +38,8 @@ def test_check_all_json_bytes(capsys):
          "gamma_generation_64.json"),
         (("--name", "rstar-structure", "--max-degree", "32"), 0,
          "rstar_structure_32.json"),
+        (("--name", "rstar-structure", "--max-degree", "64"), 0,
+         "rstar_structure_64.json"),
     )
     for selection, exit_code, name in cases:
         code, out = run_cli(capsys, "check", *selection, "--format", "json")

@@ -3,7 +3,6 @@ presented rings."""
 
 import pytest
 
-from pgl3chow.intlinalg import rank_over_q
 from pgl3chow.poly import INTEGERS, NotHomogeneousError, Polynomial
 from pgl3chow.presented import (
     GradedComponent,
@@ -14,6 +13,7 @@ from pgl3chow.presented import (
     relation_rows,
     rstar_presentation,
 )
+from test_intlinalg import rank_over_q
 
 
 def rational_rank(pres, d):
@@ -127,11 +127,43 @@ class TestEliminateUnitGenerators:
         for d in range(6):
             assert graded_component(reduced, d) == graded_component(pres, d)
 
-    def test_rstar_loses_c8_and_keeps_the_implied_relation(self):
+    def test_rstar_loses_c8_and_the_implied_relation(self):
+        # 3*c8 becomes 3*rho^2 = rho*(3*rho), a multiple of 3*rho.
         reduced = eliminate_unit_generators(rstar_presentation())
         assert reduced.generators == (("lam", 2), ("c3", 3), ("rho", 4),
                                       ("chi", 6), ("c6", 6))
         expected = RingPresentation.from_strings(
             reduced.generators,
-            ["3*rho", "3*chi", "3*rho^2", "81*c6 - 3*c3^2 - 12*lam^3"])
-        assert relation_texts(reduced) == relation_texts(expected)
+            ["3*rho", "3*chi", "81*c6 - 3*c3^2 - 12*lam^3"])
+        assert reduced.relations == expected.relations
+
+    def test_monomial_multiples_and_duplicates_are_dropped(self):
+        pres = RingPresentation.from_strings(
+            [("a", 1), ("b", 1)],
+            ["2*a^2 - 3*b^2",        # kept: no other relation divides it
+             "-6*a^3*b + 9*a*b^3",   # -3*a*b times the first: dropped
+             "4*a*b",                # kept
+             "-4*a*b",               # equal to the last up to sign: dropped
+             "a^3 + b^3",            # kept: not a multiple of anything
+             "8*a^2*b^2",            # 2*a*b times 4*a*b: dropped
+             "2*a^2 - 3*b^2 + a*b",  # kept: not a multiple of the first
+             "2*a^2 - 3*b^2"])       # a duplicate of the first: dropped
+        reduced = eliminate_unit_generators(pres)
+        assert reduced.generators == pres.generators
+        assert [r.render() for r in reduced.relations] == [
+            "2*a^2 - 3*b^2", "4*a*b", "a^3 + b^3", "2*a^2 + a*b - 3*b^2"]
+        for d in range(8):
+            assert graded_component(reduced, d) == graded_component(pres, d)
+
+    def test_later_divisor_drops_an_earlier_multiple(self):
+        pres = RingPresentation.from_strings([("a", 1), ("b", 2)],
+                                             ["6*a^2*b", "3*b", "3*b"])
+        reduced = eliminate_unit_generators(pres)
+        assert [r.render() for r in reduced.relations] == ["3*b"]
+
+    def test_constant_multiples_without_generators(self):
+        # g is used up, leaving constants over no generators: 6 = 2*3.
+        pres = RingPresentation.from_strings([("g", 1)], ["g", "6", "3"])
+        reduced = eliminate_unit_generators(pres)
+        assert reduced.generators == ()
+        assert [r.render() for r in reduced.relations] == ["3"]
