@@ -123,7 +123,11 @@ class MatrixGroup:
 
 
 def literally_shift_invariant(p: Polynomial, direction: Sequence[int]) -> bool:
-    """Check f(x + t*direction) == f(x) with an explicit auxiliary variable."""
+    """Check f(x + t*direction) == f(x) with an explicit auxiliary variable.
+
+    The cross-check of the directional-derivative test: the shift is a
+    literal substitution, not a derivative.
+    """
     ctx = p.context
     parameter = "t_shift" if "t" in ctx.names else "t"
     extended = context(ctx.names + (parameter,), ctx.weights + (1,))
@@ -135,10 +139,8 @@ def literally_shift_invariant(p: Polynomial, direction: Sequence[int]) -> bool:
             img = img + t * direction[i]
         images.append(img)
     shift = RingMap(ctx, extended, tuple(images), p.ring)
-    embed = RingMap(ctx, extended,
-                    tuple(Polynomial.variable(extended, n, p.ring) for n in ctx.names),
-                    p.ring)
-    return shift.apply(p) == embed.apply(p)
+    embedded = Polynomial(extended, p.ring, {e + (0,): c for e, c in p.terms.items()})
+    return shift.apply(p) == embedded
 
 
 def transported_group(group: MatrixGroup, embedding: Sequence[Sequence[int]],

@@ -17,6 +17,19 @@ canonical operands (``+``, ``-``, ``*``, ``**``, derivatives and
 instead, which trusts the exponent tuples and only drops zero coefficients
 and, over Z/m, reduces residues.
 
+Loops that chain many products run on packed keys instead of tuples
+(Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", 2007): :func:`_packing` turns an exponent vector
+into one integer with a fixed-width bit field per variable, wide enough for
+every exponent the loop can reach, so adding exponents is one integer
+addition and :func:`_convolve` multiplies ``{packed key: coefficient}``
+dicts.  ``**`` (binary powering), :meth:`RingMap.apply` (images and their
+power cache) and :func:`elementary_symmetric` pack their inputs once, work
+on ints throughout and unpack once into ``Polynomial._clean``.  A single
+``*`` stays tuple-based on purpose: it would pack and unpack for only one
+convolution, and packing every ``*`` made a pass over the 16 light checks
+slower (21.5 -> 23.3 ms, in-process medians on CPython 3.11).
+
 The text format used in reports is ``coeff*var^exp`` with explicit ``*`` and
 ``^``, e.g. ``2*x1^3 - 9*x1*x2 + 27*x3``; :func:`parse` inverts
 :meth:`Polynomial.render` exactly.
@@ -25,6 +38,7 @@ The text format used in reports is ``coeff*var^exp`` with explicit ``*`` and
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import re
 from dataclasses import dataclass
@@ -267,7 +281,11 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        self._check_compatible(other)
+        out = dict(self.terms)
+        for exp, c in other.terms.items():
+            out[exp] = out.get(exp, 0) - c
+        return Polynomial._clean(self.context, self.ring, out)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -289,16 +307,23 @@ class Polynomial:
         return self.__mul__(other)
 
     def __pow__(self, n: int) -> "Polynomial":
+        """Binary powering on packed keys; no exponent of ``self ** n``
+        or of a squared base exceeds ``n`` times the largest of ``self``."""
         if n < 0:
             raise ValueError("negative power")
-        result = Polynomial.constant(self.context, 1, self.ring)
-        base = self
+        top = n * max(itertools.chain.from_iterable(self.terms), default=0)
+        pack, unpack = _packing(self.context.arity, top)
+        m = self.ring.modulus
+        base = {pack(e): c for e, c in self.terms.items()}
+        result = {0: 1}
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = _trim(_convolve(result, base), m)
             n >>= 1
-        return result
+            if n:
+                base = _trim(_convolve(base, base), m)
+        return Polynomial._clean(self.context, self.ring,
+                                 {unpack(k): c for k, c in result.items()})
 
     # ---- grading --------------------------------------------------------------
 
@@ -381,6 +406,89 @@ class Polynomial:
         return f"<Polynomial {self.render()} over {self.ring}>"
 
 
+# ---- packed exponent kernels --------------------------------------------------
+
+
+def _packing(arity: int, top: int):
+    """``(pack, unpack)`` between exponent vectors of length ``arity`` with
+    entries in ``[0, top]`` and ints holding one ``top.bit_length()``-bit
+    field per variable, the first variable in the highest field.
+
+    Packing is additive while no sum leaves ``[0, top]``: ``pack(e1) +
+    pack(e2) == pack(e1 + e2)``, so the caller's ``top`` must bound every
+    exponent its loop produces.
+    """
+    width = top.bit_length()
+    mask = (1 << width) - 1
+    shifts = tuple(width * (arity - 1 - i) for i in range(arity))
+
+    def pack(exponent: Exponent) -> int:
+        key = 0
+        for e in exponent:
+            key = (key << width) | e
+        return key
+
+    def unpack(key: int) -> Exponent:
+        return tuple([(key >> s) & mask for s in shifts])
+
+    return pack, unpack
+
+
+def _convolve(a: dict[int, int], b: dict[int, int],
+              out: dict[int, int] | None = None) -> dict[int, int]:
+    """Add the product of two packed-key dicts into ``out`` (a new dict by
+    default) and return it.  The outer loop runs over the smaller dict."""
+    if out is None:
+        out = {}
+    if len(a) > len(b):
+        a, b = b, a
+    get = out.get
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return out
+
+
+def _trim(terms: dict[int, int], m: int | None) -> dict[int, int]:
+    """Drop zero coefficients and, over Z/m, reduce residues into [0, m),
+    so chained products stay small."""
+    if m is None:
+        return {k: c for k, c in terms.items() if c}
+    return {k: r for k, c in terms.items() if (r := c % m)}
+
+
+def elementary_symmetric(ctx: VariableContext, ring: CoefficientRing,
+                         weight_multiplicities: Sequence[tuple[Sequence[int], int]]
+                         ) -> tuple[Polynomial, ...]:
+    """``(e_0, ..., e_n)`` of the linear forms ``sum_i w_i * x_i``, each
+    taken with its multiplicity, ``n`` the sum of the multiplicities.
+
+    One pass of ``e[k] += e[k-1]*form`` per form copy on packed keys; no
+    exponent exceeds ``n``.  Zero forms are skipped, so their classes are
+    the zero polynomials at the top of the tuple.
+    """
+    n = sum(mult for _, mult in weight_multiplicities)
+    pack, unpack = _packing(ctx.arity, n)
+    variables = [pack(tuple(int(i == j) for j in range(ctx.arity)))
+                 for i in range(ctx.arity)]
+    e: list[dict[int, int]] = [{0: 1}]
+    for w, mult in weight_multiplicities:
+        if len(w) != ctx.arity:
+            raise ValueError(f"weight {tuple(w)} has wrong arity for {ctx.names}")
+        form = {k: c for k, x in zip(variables, w) if (c := ring.normalize(x))}
+        if not form:
+            continue
+        for _ in range(mult):
+            e.append(_convolve(e[-1], form))
+            for k in range(len(e) - 2, 0, -1):
+                _convolve(e[k - 1], form, e[k])
+    classes = [Polynomial._clean(ctx, ring, {unpack(k): c for k, c in t.items()})
+               for t in e]
+    zero = Polynomial._clean(ctx, ring, {})
+    return tuple(classes) + (zero,) * (n + 1 - len(classes))
+
+
 # ---- ring maps ----------------------------------------------------------------
 
 
@@ -406,7 +514,8 @@ class RingMap:
         """Substitute the images into ``p`` in one pass.
 
         Each term's coefficient times the product of cached image powers is
-        accumulated into one dict, which is cleaned once at the end.  A
+        accumulated into one dict of packed keys, which is unpacked and
+        cleaned once at the end.  A
         source over Z maps into any target ring (reduced by the final
         clean); otherwise the rings must agree.
         """
@@ -415,9 +524,17 @@ class RingMap:
         if p.ring != self.target_ring and p.ring.kind != "Z":
             raise RingMismatchError(
                 f"cannot map coefficients from {p.ring} into {self.target_ring}")
-        powers = [[img] for img in self.images]  # powers[i][k] = images[i]^(k+1)
-        constant = (0,) * self.target.arity
-        out: dict[Exponent, int] = {}
+        # An image of a term of total degree D has no exponent beyond D times
+        # the largest exponent of any image.
+        top = (max(map(sum, p.terms), default=0)
+               * max((x for img in self.images for e in img.terms for x in e),
+                     default=0))
+        pack, unpack = _packing(self.target.arity, top)
+        m = self.target_ring.modulus
+        # powers[i][k] = images[i]^(k+1), packed
+        powers = [[{pack(e): c for e, c in img.terms.items()}]
+                  for img in self.images]
+        out: dict[int, int] = {}
         get = out.get
         for exp, c in p.terms.items():
             term = None
@@ -425,14 +542,16 @@ class RingMap:
                 if e:
                     cache = powers[i]
                     while len(cache) < e:
-                        cache.append(cache[-1] * cache[0])
-                    term = cache[e - 1] if term is None else term * cache[e - 1]
+                        cache.append(_trim(_convolve(cache[-1], cache[0]), m))
+                    term = (cache[e - 1] if term is None
+                            else _trim(_convolve(term, cache[e - 1]), m))
             if term is None:
-                out[constant] = get(constant, 0) + c
+                out[0] = get(0, 0) + c
             else:
-                for e2, c2 in term.terms.items():
-                    out[e2] = get(e2, 0) + c * c2
-        return Polynomial._clean(self.target, self.target_ring, out)
+                for k, c2 in term.items():
+                    out[k] = get(k, 0) + c * c2
+        return Polynomial._clean(self.target, self.target_ring,
+                                 {unpack(k): c for k, c in out.items()})
 
 
 # ---- text format --------------------------------------------------------------

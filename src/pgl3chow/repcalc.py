@@ -24,6 +24,7 @@ from .poly import (
     RingMap,
     VariableContext,
     context,
+    elementary_symmetric,
     integers_mod,
 )
 
@@ -157,17 +158,8 @@ def twist(r: VirtualRep, w: Sequence[int]) -> VirtualRep:
 def chern_classes(r: VirtualRep) -> tuple[Polynomial, ...]:
     """Total Chern class ``(c_0, ..., c_n)`` of a genuine representation of
     dimension ``n``: the elementary symmetric polynomials of its weights'
-    linear forms, from one pass of ``e[k] += e[k-1]*form`` per weight copy.
-    Each distinct weight's form is built once."""
-    lattice = r.lattice
-    e = [Polynomial.constant(lattice.ctx, 1, lattice.ring)]
-    for w, m in r.genuine_weights():
-        form = Polynomial.linear_form(lattice.ctx, list(w), lattice.ring)
-        for _ in range(m):
-            e.append(e[-1] * form)
-            for k in range(len(e) - 2, 0, -1):
-                e[k] = e[k] + e[k - 1] * form
-    return tuple(e)
+    linear forms, each weight taken with its multiplicity."""
+    return elementary_symmetric(r.lattice.ctx, r.lattice.ring, r.genuine_weights())
 
 
 # ---- lattice maps -----------------------------------------------------------

@@ -173,3 +173,13 @@ class TestDerivedTwistedAction:
         assert group.act("(123)", u1) == u3
         assert group.act("(123)", u2) == u1
         assert group.act("(123)", u3) == u2
+
+    def test_literal_shift_with_a_variable_named_t(self):
+        # The parameter becomes t_shift; x - t is shift invariant along
+        # (1, 1) and so is a constant, while x is not.
+        ctx = context(("x", "t"))
+        x = Polynomial.variable(ctx, "x")
+        t = Polynomial.variable(ctx, "t")
+        assert literally_shift_invariant(x - t, (1, 1))
+        assert literally_shift_invariant(Polynomial.constant(ctx, 7), (1, 1))
+        assert not literally_shift_invariant(x, (1, 1))

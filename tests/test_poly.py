@@ -11,12 +11,56 @@ from pgl3chow.poly import (
     PolynomialParseError,
     RingMap,
     RingMismatchError,
+    _packing,
     context,
     integers_mod,
     parse,
 )
 
 X3 = context(("x1", "x2", "x3"))
+
+
+def tuple_power(p, n):
+    """``p ** n`` by binary powering through tuple-keyed ``*``: the loop the
+    packed ``Polynomial.__pow__`` replaced, kept as its oracle."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = Polynomial.constant(p.context, 1, p.ring)
+    base = p
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
+
+
+def tuple_apply(rm, p):
+    """``rm.apply(p)`` with tuple-keyed image powers: the loop the packed
+    ``RingMap.apply`` replaced, kept as its oracle."""
+    if p.context != rm.source:
+        raise ContextMismatchError("polynomial not over the map's source context")
+    if p.ring != rm.target_ring and p.ring.kind != "Z":
+        raise RingMismatchError(
+            f"cannot map coefficients from {p.ring} into {rm.target_ring}")
+    powers = [[img] for img in rm.images]  # powers[i][k] = images[i]^(k+1)
+    constant = (0,) * rm.target.arity
+    out = {}
+    get = out.get
+    for exp, c in p.terms.items():
+        term = None
+        for i, e in enumerate(exp):
+            if e:
+                cache = powers[i]
+                while len(cache) < e:
+                    cache.append(cache[-1] * cache[0])
+                term = cache[e - 1] if term is None else term * cache[e - 1]
+        if term is None:
+            out[constant] = get(constant, 0) + c
+        else:
+            for e2, c2 in term.terms.items():
+                out[e2] = get(e2, 0) + c * c2
+    return Polynomial._clean(rm.target, rm.target_ring, out)
 
 
 def xvars(ring=INTEGERS):
@@ -135,6 +179,86 @@ class TestSubstitution:
         red = RingMap(X3, X3, xvars(ring), ring)
         assert red.apply(g2 * g3) == red.apply(g2) * red.apply(g3)
         assert red.apply(g2 + g3) == red.apply(g2) + red.apply(g3)
+
+
+class TestPackedKernels:
+    def test_packing_round_trip_and_field_layout(self):
+        pack, unpack = _packing(3, 15)
+        assert pack((1, 0, 0)) == 1 << 8
+        assert pack((0, 0, 1)) == 1
+        for e in ((0, 0, 0), (15, 15, 15), (15, 0, 7), (1, 2, 3)):
+            assert unpack(pack(e)) == e
+        assert pack((7, 8, 0)) + pack((8, 7, 15)) == pack((15, 15, 15))
+
+    def test_zero_polynomial_and_zeroth_power(self):
+        for ring in (INTEGERS, integers_mod(3)):
+            zero = Polynomial.zero(X3, ring)
+            one = Polynomial.constant(X3, 1, ring)
+            x1 = Polynomial.variable(X3, "x1", ring)
+            assert zero ** 0 == one
+            assert zero ** 5 == zero
+            assert (x1 + one) ** 0 == one
+            assert (x1 ** 2 + one) ** 1 == x1 ** 2 + one
+        with pytest.raises(ValueError, match="negative power"):
+            Polynomial.variable(X3, "x1") ** -1
+        rm = RingMap(X3, X3, xvars(), INTEGERS)
+        assert rm.apply(Polynomial.zero(X3)) == Polynomial.zero(X3)
+
+    def test_context_with_no_variables(self):
+        empty = context(())
+        for ring, expected in ((INTEGERS, 125), (integers_mod(3), 2)):
+            five = Polynomial.constant(empty, 5, ring)
+            assert (five ** 3).terms == {(): expected}
+            assert (five ** 0).terms == {(): 1}
+        ctx = context(("x",))
+        x = Polynomial.variable(ctx, "x")
+        into_empty = RingMap(ctx, empty, (Polynomial.constant(empty, 2),), INTEGERS)
+        assert into_empty.apply(x ** 3 - 3 * x).terms == {(): 2}
+        from_empty = RingMap(empty, ctx, (), INTEGERS)
+        assert from_empty.apply(Polynomial.constant(empty, -4)) == \
+            Polynomial.constant(ctx, -4)
+
+    def test_power_reaching_the_top_of_a_field(self):
+        # top = 5 * 3 = 15 = 2^4 - 1: every field is 4 bits and full.
+        x1, x2, x3 = xvars()
+        assert (x1 ** 3) ** 5 == Polynomial(X3, INTEGERS, {(15, 0, 0): 1})
+        assert (x3 ** 3) ** 5 == Polynomial(X3, INTEGERS, {(0, 0, 15): 1})
+        p = x1 * x3 ** 3 + 2 * x2 ** 3
+        assert p ** 5 == tuple_power(p, 5)
+        assert (p ** 5).terms[(5, 0, 15)] == 1
+        assert (p ** 5).terms[(0, 15, 0)] == 32
+
+    def test_substitution_reaching_the_top_of_a_field(self):
+        # Source degree 5 times image exponent 3: the largest target
+        # exponent is 15 = 2^4 - 1, in the last and in the first field.
+        ctx = context(("s", "t"))
+        s = Polynomial.variable(ctx, "s")
+        t = Polynomial.variable(ctx, "t")
+        xy = context(("x", "y"))
+        x = Polynomial.variable(xy, "x")
+        y = Polynomial.variable(xy, "y")
+        rm = RingMap(ctx, xy, (x * y ** 3 + x ** 3, y ** 2 - x), INTEGERS)
+        for p in (s ** 5, s ** 4 * t, s * t ** 4 - 7 * s ** 2 + t):
+            assert rm.apply(p) == tuple_apply(rm, p)
+        image = rm.apply(s ** 5)
+        assert image.terms[(5, 15)] == 1 and image.terms[(15, 0)] == 1
+
+    def test_large_power_mod_three_is_canonical(self):
+        ctx = context(("a", "b"))
+        ring = integers_mod(3)
+        a = Polynomial.variable(ctx, "a", ring)
+        b = Polynomial.variable(ctx, "b", ring)
+        result = (a + b) ** 200
+        assert all(0 < c < 3 for c in result.terms.values())
+        assert result == Polynomial(ctx, ring, dict(result.terms))
+        assert result == tuple_power(a + b, 200)
+        # Lucas: 200 = 2*81 + 27 + 9 + 2*1, so (a + b)^200 is a product of
+        # Frobenius powers, each a binomial mod 3.
+        frobenius = [parse(f"a^{q} + b^{q}", ctx, ring) for q in (81, 81, 27, 9, 1, 1)]
+        expected = Polynomial.constant(ctx, 1, ring)
+        for f in frobenius:
+            expected = expected * f
+        assert result == expected
 
 
 class TestGrading:

@@ -1,6 +1,7 @@
 """Randomized law checking: ring homomorphisms, group actions, Chern-class
-identities, integer normal forms and the elimination of unit generators from
-presented rings, each over at least 200 instances."""
+identities, integer normal forms, the elimination of unit generators from
+presented rings and the packed-exponent kernels against the tuple-based
+loops they replaced, each over at least 200 instances."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +14,7 @@ from pgl3chow.presented import (
     graded_component,
 )
 from pgl3chow.repcalc import (
+    A3MU3_AB,
     T_GL3,
     TO_SL3,
     TO_XY,
@@ -29,7 +31,8 @@ from test_intlinalg import (
     rank_over_q,
     sparse_rows,
 )
-from test_repcalc import alternating_signs, cauchy_product
+from test_poly import tuple_apply, tuple_power
+from test_repcalc import alternating_signs, cauchy_product, tuple_chern_classes
 
 LAW_SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -55,14 +58,14 @@ def ring_maps(draw):
 
 
 @st.composite
-def genuine_reps(draw, max_weights=3):
+def genuine_reps(draw, max_weights=3, lattice=T_GL3):
     n = draw(st.integers(1, max_weights))
     weights = []
     for _ in range(n):
-        coords = tuple(draw(st.integers(-2, 2)) for _ in range(3))
+        coords = tuple(draw(st.integers(-2, 2)) for _ in range(lattice.rank))
         mult = draw(st.integers(1, 2))
         weights.append((coords, mult))
-    return VirtualRep.from_weights(T_GL3, weights)
+    return VirtualRep.from_weights(lattice, weights)
 
 
 def int_matrices(max_dim=4, bound=9):
@@ -278,6 +281,49 @@ class TestCanonicalForms:
                                     for n in X3.names), ring)
         assert red.apply(p * q) == red.apply(p) * red.apply(q)
         assert red.apply(p - q) == red.apply(p) - red.apply(q)
+
+
+KERNEL_RINGS = (INTEGERS, integers_mod(3))
+
+
+@st.composite
+def ring_and_polynomial(draw, ctx, **kwargs):
+    """A ring from KERNEL_RINGS and a small polynomial over it."""
+    ring = draw(st.sampled_from(KERNEL_RINGS))
+    return ring, draw(polynomials(ctx, ring=ring, **kwargs))
+
+
+class TestPackedKernelsMatchTupleOracles:
+    """``**``, ``RingMap.apply`` and ``chern_classes`` run on packed keys;
+    each equals the tuple-based loop it replaced, over Z and Z/3."""
+
+    @LAW_SETTINGS
+    @given(ring_and_polynomial(X3), st.integers(0, 6))
+    def test_power(self, drawn, n):
+        _, p = drawn
+        assert p ** n == tuple_power(p, n)
+
+    @LAW_SETTINGS
+    @given(ring_and_polynomial(X3, coeff_bound=6), ring_maps(), st.booleans())
+    def test_apply(self, drawn, rm, source_over_z):
+        ring, p = drawn
+        images = tuple(Polynomial(XY, ring, dict(img.terms)) for img in rm.images)
+        rm = RingMap(X3, XY, images, ring)
+        if source_over_z:
+            p = Polynomial(X3, INTEGERS, dict(p.terms))
+        assert rm.apply(p) == tuple_apply(rm, p)
+
+    @LAW_SETTINGS
+    @given(st.one_of(genuine_reps(max_weights=4),
+                     genuine_reps(max_weights=4, lattice=A3MU3_AB)))
+    def test_chern_classes(self, r):
+        assert chern_classes(r) == tuple_chern_classes(r)
+
+    @LAW_SETTINGS
+    @given(polynomial_pairs())
+    def test_subtraction_adds_the_negation(self, drawn):
+        _, p, q = drawn
+        assert p - q == p + (-q)
 
 
 # Up to three (monomial index, coefficient) pairs; the index is reduced

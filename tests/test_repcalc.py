@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from pgl3chow.checks import gamma_generators
-from pgl3chow.poly import INTEGERS, Polynomial, RingMap
+from pgl3chow.poly import INTEGERS, Polynomial, RingMap, context, elementary_symmetric
 from pgl3chow.repcalc import (
     A3MU3_AB,
     T_GL3,
@@ -71,6 +71,21 @@ class TestConstructors:
             assert not c.directional_derivative((1, 1, 1))
 
 
+def tuple_chern_classes(r):
+    """``chern_classes(r)`` by the tuple-keyed ``e[k] += e[k-1]*form``
+    recurrence the packed ``poly.elementary_symmetric`` replaced, kept as
+    its oracle."""
+    lattice = r.lattice
+    e = [Polynomial.constant(lattice.ctx, 1, lattice.ring)]
+    for w, m in r.genuine_weights():
+        form = Polynomial.linear_form(lattice.ctx, list(w), lattice.ring)
+        for _ in range(m):
+            e.append(e[-1] * form)
+            for k in range(len(e) - 2, 0, -1):
+                e[k] = e[k] + e[k - 1] * form
+    return tuple(e)
+
+
 def cauchy_product(p, q):
     """Coefficients of (sum_j p_j t^j)(sum_k q_k t^k): the right side of the
     Whitney formula c(r + s) = c(r)*c(s), degree by degree."""
@@ -120,6 +135,42 @@ class TestChernClasses:
                     total = total + term
                 expected.append(total)
             assert chern_classes(rep) == tuple(expected), name
+
+    def test_every_catalogued_rep_matches_the_tuple_recurrence(self):
+        from pgl3chow import repcalc
+        for name, rep in repcalc.REPRESENTATIONS.items():
+            if all(m > 0 for _, m in rep.weights):
+                assert chern_classes(rep) == tuple_chern_classes(rep), name
+
+    def test_zero_weights_give_zero_top_classes(self):
+        # sl3 has the zero weight twice: c_7 = c_8 = 0, and the tuple still
+        # has length dimension + 1.
+        c = chern_classes(standard("sl3"))
+        assert len(c) == 9
+        assert not c[7] and not c[8] and c[6]
+        assert chern_classes(trivial(T_GL3)) == (
+            Polynomial.constant(T_GL3.ctx, 1), Polynomial.zero(T_GL3.ctx))
+
+    def test_elementary_symmetric_edge_cases(self):
+        empty = context(())
+        one, zero = Polynomial.constant(empty, 1), Polynomial.zero(empty)
+        assert elementary_symmetric(empty, INTEGERS, [((), 2)]) == (one, zero, zero)
+        assert elementary_symmetric(T_GL3.ctx, INTEGERS, []) == (
+            Polynomial.constant(T_GL3.ctx, 1),)
+        ctx, ring = A3MU3_AB.ctx, A3MU3_AB.ring
+        a = Polynomial.variable(ctx, "a", ring)
+        b = Polynomial.variable(ctx, "b", ring)
+        one, zero = Polynomial.constant(ctx, 1, ring), Polynomial.zero(ctx, ring)
+        # The form a + b taken 3 times: n = 3 = 2^2 - 1, so the 2-bit fields
+        # fill exactly in a^3 + b^3.
+        assert elementary_symmetric(ctx, ring, [((1, 1), 3)]) == (
+            one, zero, zero, a ** 3 + b ** 3)
+        # The weight (3, 0) is the zero form mod 3: skipped, it leaves a zero
+        # class on top.
+        assert elementary_symmetric(ctx, ring, [((3, 0), 1), ((1, 1), 3)]) == (
+            one, zero, zero, a ** 3 + b ** 3, zero)
+        with pytest.raises(ValueError, match="wrong arity"):
+            elementary_symmetric(T_GL3.ctx, INTEGERS, [((1, 0), 1)])
 
     def test_c2_of_w_over_a3mu3(self):
         ring = A3MU3_AB.ring
