@@ -35,7 +35,14 @@ from .groups import (
     symmetric_group_s3,
     transported_group,
 )
-from .poly import INTEGERS, NotHomogeneousError, Polynomial, context, parse
+from .poly import (
+    INTEGERS,
+    NotHomogeneousError,
+    Polynomial,
+    context,
+    parse,
+    power_product_rows,
+)
 from .presented import (
     RingPresentation,
     component_of_rows,
@@ -275,32 +282,19 @@ def _gamma_span_vectors(gammas: Mapping[str, Polynomial], bound: int
     monomial basis of the gammas' context, one ``(width of the basis,
     rows)`` pair per degree.
 
-    Each monomial is formed once, as a monomial of lower degree times a
-    single gamma (``gamma2`` while ``a > 0``, then ``gamma3``, then
-    ``gamma6``), so powers and products are shared across monomials and
-    degrees and every product has a small factor.  The gammas are checked
-    to be homogeneous of their degrees, so every product lies in the span
-    of its degree's basis.
+    Each monomial is formed once by :func:`poly.power_product_rows`, as a
+    monomial of lower degree times a single gamma (``gamma2`` while
+    ``a > 0``, then ``gamma3``, then ``gamma6``), so powers and products are
+    shared across monomials and degrees and every product has a small
+    factor.  The gammas are checked to be homogeneous of their degrees, so
+    every product lies in the span of its degree's basis.
     """
-    gen_ctx = context(("g2", "g3", "g6"), (2, 3, 6))
     factors = (gammas["gamma2"], gammas["gamma3"], gammas["gamma6"])
-    for g, w in zip(factors, gen_ctx.weights):
+    weights = (2, 3, 6)
+    for g, w in zip(factors, weights):
         if not g.is_homogeneous(w):
             raise NotHomogeneousError(f"not homogeneous of degree {w}: {g.render()}")
-    ctx = factors[0].context
-    products = {(0, 0, 0): Polynomial.constant(ctx, 1)}
-    out = []
-    for d in range(bound + 1):
-        index = {e: i for i, e in enumerate(ctx.monomials_of_degree(d))}
-        rows = []
-        for exp in gen_ctx.monomials_of_degree(d):
-            if exp not in products:
-                i = next(i for i, e in enumerate(exp) if e)
-                lower = exp[:i] + (exp[i] - 1,) + exp[i + 1:]
-                products[exp] = products[lower] * factors[i]
-            rows.append({index[e]: c for e, c in products[exp].terms.items()})
-        out.append((len(index), rows))
-    return out
+    return power_product_rows(factors, weights, bound)
 
 
 def _check_gamma_generation(bound: int) -> tuple[bool, Witnesses]:

@@ -489,6 +489,48 @@ def elementary_symmetric(ctx: VariableContext, ring: CoefficientRing,
     return tuple(classes) + (zero,) * (n + 1 - len(classes))
 
 
+def power_product_rows(factors: Sequence[Polynomial], weights: Sequence[int],
+                       bound: int) -> list[tuple[int, list[dict[int, int]]]]:
+    """The products ``prod_i factors[i]^a_i`` of each weighted degree
+    ``d = 0..bound``, ``factors[i]`` weighing ``weights[i]`` and the
+    exponent vectors ``a`` in graded-lex order, as sparse ``{column:
+    coefficient}`` rows over the degree-d monomial basis of the factors'
+    context; one ``(width of the basis, rows)`` pair per degree.
+
+    Each product is formed once, as a product of lower degree times a single
+    factor (the first with a nonzero exponent), on packed keys throughout:
+    no product of degree ``<= bound`` has an exponent beyond ``bound`` times
+    the largest exponent of a factor, and no basis monomial one beyond
+    ``bound``.  Each factor must be homogeneous of its weight; a stray term
+    raises ``KeyError`` at the first product that uses the factor.
+    """
+    ctx, ring = factors[0].context, factors[0].ring
+    for f in factors:
+        f._check_compatible(factors[0])
+    weights = tuple(weights)
+    if len(weights) != len(factors) or any(w < 1 for w in weights):
+        raise ValueError("one weight >= 1 per factor required")
+    top = bound * max(1, max((x for f in factors for e in f.terms for x in e),
+                             default=0))
+    pack, _ = _packing(ctx.arity, top)
+    m = ring.modulus
+    packed = [{pack(e): c for e, c in f.terms.items()} for f in factors]
+    products = {(0,) * len(factors): {0: 1}}
+    out = []
+    for d in range(bound + 1):
+        index = {pack(e): j for j, e in enumerate(ctx.monomials_of_degree(d))}
+        rows = []
+        for exp in _monomials_of_degree(weights, d):
+            terms = products.get(exp)
+            if terms is None:
+                i = next(i for i, e in enumerate(exp) if e)
+                lower = exp[:i] + (exp[i] - 1,) + exp[i + 1:]
+                terms = products[exp] = _trim(_convolve(products[lower], packed[i]), m)
+            rows.append({index[k]: c for k, c in terms.items()})
+        out.append((len(index), rows))
+    return out
+
+
 # ---- ring maps ----------------------------------------------------------------
 
 
@@ -515,9 +557,12 @@ class RingMap:
 
         Each term's coefficient times the product of cached image powers is
         accumulated into one dict of packed keys, which is unpacked and
-        cleaned once at the end.  A
-        source over Z maps into any target ring (reduced by the final
-        clean); otherwise the rings must agree.
+        cleaned once at the end.  A one-term image ``c*x^a`` needs no power:
+        a source exponent ``e`` adds ``e*pack(a)`` to the term's key and
+        multiplies its coefficient by ``c^e``, so a permutation of the
+        variables is pure exponent arithmetic.  A source over Z maps into
+        any target ring (reduced by the final clean); otherwise the rings
+        must agree.
         """
         if p.context != self.source:
             raise ContextMismatchError("polynomial not over the map's source context")
@@ -531,24 +576,35 @@ class RingMap:
                      default=0))
         pack, unpack = _packing(self.target.arity, top)
         m = self.target_ring.modulus
-        # powers[i][k] = images[i]^(k+1), packed
+        # powers[i][k] = images[i]^(k+1), packed; single[i] = (key, coefficient)
+        # of a one-term image, whose powers are never built
         powers = [[{pack(e): c for e, c in img.terms.items()}]
                   for img in self.images]
+        single = [next(iter(cache[0].items())) if len(cache[0]) == 1 else None
+                  for cache in powers]
         out: dict[int, int] = {}
         get = out.get
         for exp, c in p.terms.items():
+            shift = 0
             term = None
             for i, e in enumerate(exp):
                 if e:
+                    one = single[i]
+                    if one is not None:
+                        key, a = one
+                        shift += e * key
+                        c *= pow(a, e, m)
+                        continue
                     cache = powers[i]
                     while len(cache) < e:
                         cache.append(_trim(_convolve(cache[-1], cache[0]), m))
                     term = (cache[e - 1] if term is None
                             else _trim(_convolve(term, cache[e - 1]), m))
             if term is None:
-                out[0] = get(0, 0) + c
+                out[shift] = get(shift, 0) + c
             else:
                 for k, c2 in term.items():
+                    k += shift
                     out[k] = get(k, 0) + c * c2
         return Polynomial._clean(self.target, self.target_ring,
                                  {unpack(k): c for k, c in out.items()})

@@ -245,15 +245,27 @@ def express_in(target: Polynomial, gens: Mapping[str, Polynomial]) -> ExpressRes
         raise ExpressError("target is not homogeneous")
 
     monomials = gen_ctx.monomials_of_degree(d_target)
-    _, t_vec = target.coefficient_vector(d_target)
-    rows = []
-    for exp in monomials:
-        prod = Polynomial.constant(target.context, 1, target.ring)
-        for g, e in zip(polys, exp):
-            if e:
-                prod = prod * g ** e
-        _, vec = prod.coefficient_vector(d_target)
-        rows.append(vec)
+    # Generators and target are homogeneous, so every term of a product of
+    # degree d_target has a column; a stray term would raise KeyError here.
+    index = {e: j for j, e in enumerate(target.context.monomials_of_degree(d_target))}
+
+    def vector(p: Polynomial) -> list:
+        vec = [0] * len(index)
+        for e, c in p.terms.items():
+            vec[index[e]] = c
+        return vec
+
+    # Each generator monomial once, as a lower one times one generator.
+    products = {(0,) * len(polys): Polynomial.constant(target.context, 1, target.ring)}
+
+    def product(exp: tuple[int, ...]) -> Polynomial:
+        if exp not in products:
+            i = next(i for i, e in enumerate(exp) if e)
+            products[exp] = product(exp[:i] + (exp[i] - 1,) + exp[i + 1:]) * polys[i]
+        return products[exp]
+
+    t_vec = vector(target)
+    rows = [vector(product(exp)) for exp in monomials]
     if not rows:
         if any(t_vec):
             return ExpressResult(False, None, None)

@@ -6,7 +6,7 @@ import pytest
 from pgl3chow import checks, presented
 from pgl3chow.groups import MatrixGroup, alternating_subgroup
 from pgl3chow.intlinalg import invariant_factors
-from pgl3chow.poly import Polynomial
+from pgl3chow.poly import NotHomogeneousError, Polynomial, context
 from pgl3chow.repcalc import TO_XY, restrict_poly
 
 EXPECTED_NAMES = [
@@ -197,6 +197,31 @@ def _series(numerator, weights, bound):
     return coeffs
 
 
+def polynomial_gamma_span_vectors(gammas, bound):
+    """``checks._gamma_span_vectors`` with one tuple-keyed ``Polynomial``
+    per product: the loop the packed ``poly.power_product_rows`` replaced,
+    kept as its oracle."""
+    gen_ctx = context(("g2", "g3", "g6"), (2, 3, 6))
+    factors = (gammas["gamma2"], gammas["gamma3"], gammas["gamma6"])
+    for g, w in zip(factors, gen_ctx.weights):
+        if not g.is_homogeneous(w):
+            raise NotHomogeneousError(f"not homogeneous of degree {w}: {g.render()}")
+    ctx = factors[0].context
+    products = {(0, 0, 0): Polynomial.constant(ctx, 1)}
+    out = []
+    for d in range(bound + 1):
+        index = {e: i for i, e in enumerate(ctx.monomials_of_degree(d))}
+        rows = []
+        for exp in gen_ctx.monomials_of_degree(d):
+            if exp not in products:
+                i = next(i for i, e in enumerate(exp) if e)
+                lower = exp[:i] + (exp[i] - 1,) + exp[i + 1:]
+                products[exp] = products[lower] * factors[i]
+            rows.append({index[e]: c for e, c in products[exp].terms.items()})
+        out.append((len(index), rows))
+    return out
+
+
 class TestGammaCertificate:
     def test_molien_ranks_of_the_weyl_group(self):
         assert checks._molien_ranks(checks.s3_on_xy(), 40) == \
@@ -234,6 +259,19 @@ class TestGammaCertificate:
                     == nonzero, d
                 if gammas is real:
                     assert nonzero == [1] * ranks[d], d
+
+    def test_packed_spans_match_the_polynomial_products(self):
+        real = checks.gamma_generators()
+        variants = (real, {**real, "gamma2": 2 * real["gamma2"]},
+                    {**real, "gamma6": real["gamma2"] ** 3})
+        top = 24
+        for gammas in variants:
+            in_xy = {name: restrict_poly(g, TO_XY) for name, g in gammas.items()}
+            for gens in (gammas, in_xy):
+                expected = polynomial_gamma_span_vectors(gens, top)
+                for bound in range(top + 1):
+                    assert checks._gamma_span_vectors(gens, bound) == \
+                        expected[:bound + 1], bound
 
     def test_failure_witnesses(self, monkeypatch):
         real = checks.gamma_generators()

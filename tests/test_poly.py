@@ -2,6 +2,7 @@
 
 import pytest
 
+from pgl3chow.checks import s3_on_u, s3_on_x, s3_on_xy
 from pgl3chow.poly import (
     INTEGERS,
     CoefficientRing,
@@ -16,6 +17,7 @@ from pgl3chow.poly import (
     integers_mod,
     parse,
 )
+from pgl3chow.repcalc import TO_SL3, TO_XY, restrict_poly
 
 X3 = context(("x1", "x2", "x3"))
 
@@ -242,6 +244,40 @@ class TestPackedKernels:
             assert rm.apply(p) == tuple_apply(rm, p)
         image = rm.apply(s ** 5)
         assert image.terms[(5, 15)] == 1 and image.terms[(15, 0)] == 1
+
+    def test_weyl_groups_move_the_gammas_by_exponent_arithmetic(self):
+        # Every element of s3_on_x() permutes the variables, so each image
+        # is one term; s3_on_u() and s3_on_xy() mix one- and two-term images.
+        gens = gammas()
+        restricted = {group: tuple(restrict_poly(g, to) for g in gens)
+                      for group, to in ((s3_on_u(), TO_SL3), (s3_on_xy(), TO_XY))}
+        for group, polys in ((s3_on_x(), gens), *restricted.items()):
+            for label, rm in zip(group.labels(), group._ring_maps):
+                if group is s3_on_x():
+                    assert all(len(img.terms) == 1 for img in rm.images), label
+                for p in polys:
+                    assert group.act(label, p) == tuple_apply(rm, p), label
+
+    def test_scaled_one_term_image_mod_three(self):
+        ring = integers_mod(3)
+        s = Polynomial.variable(context(("s",)), "s", ring)
+        xy = context(("x", "y"))
+        rm = RingMap(s.context, xy, (2 * Polynomial.variable(xy, "y", ring),), ring)
+        assert rm.apply(s ** 5) == tuple_apply(rm, s ** 5)
+        assert rm.apply(s ** 5).terms == {(0, 5): 2}  # 2^5 = 32 = 2 mod 3
+
+    def test_one_term_image_reaching_the_top_of_a_field(self):
+        # x1 -> y^3 and x2 -> x^3 on degree 5: shifted keys land on 15 = 2^4 - 1
+        # in the last and in the first field, also beside a two-term image.
+        xy = context(("x", "y"))
+        x = Polynomial.variable(xy, "x")
+        y = Polynomial.variable(xy, "y")
+        rm = RingMap(X3, xy, (y ** 3, x ** 3, x + y), INTEGERS)
+        x1, x2, x3 = xvars()
+        assert rm.apply(x1 ** 5).terms == {(0, 15): 1}
+        assert rm.apply(x2 ** 5).terms == {(15, 0): 1}
+        for p in (x1 ** 5, x2 ** 5, x1 ** 4 * x3, x1 ** 2 * x2 ** 3 - x3 ** 5):
+            assert rm.apply(p) == tuple_apply(rm, p)
 
     def test_large_power_mod_three_is_canonical(self):
         ctx = context(("a", "b"))
