@@ -16,6 +16,7 @@ from pgl3chow.poly import (
     context,
     integers_mod,
     parse,
+    power_product_rows,
 )
 from pgl3chow.repcalc import TO_SL3, TO_XY, restrict_poly
 
@@ -278,6 +279,21 @@ class TestPackedKernels:
         assert rm.apply(x2 ** 5).terms == {(15, 0): 1}
         for p in (x1 ** 5, x2 ** 5, x1 ** 4 * x3, x1 ** 2 * x2 ** 3 - x3 ** 5):
             assert rm.apply(p) == tuple_apply(rm, p)
+
+    def test_power_product_rows_mod_three(self):
+        # f^a * g^b with f of weight 1 and g of weight 2, against tuple-keyed
+        # products; a factor with a term outside its weight is rejected.
+        ring = integers_mod(3)
+        x1, x2, x3 = xvars(ring)
+        f, g = x1 + x2, 2 * x3 ** 2
+        exponents = context(("f", "g"), (1, 2))
+        for d, (width, rows) in enumerate(power_product_rows((f, g), (1, 2), 6)):
+            basis = X3.monomials_of_degree(d)
+            assert width == len(basis)
+            assert rows == [{basis.index(e): c for e, c in (f ** a * g ** b).terms.items()}
+                            for a, b in exponents.monomials_of_degree(d)]
+        with pytest.raises(KeyError):
+            power_product_rows((f, g + x1), (1, 2), 3)
 
     def test_large_power_mod_three_is_canonical(self):
         ctx = context(("a", "b"))
