@@ -8,15 +8,17 @@ works on copies, so shared rows come back unchanged; everything else works
 on row-major ``list[list[int]]`` matrices.
 
 Two eliminations, one job each.  The Smith elimination gives invariant
-factors only and builds no transform: :func:`invariant_factors` eliminates
-±1 pivots, deleting each pivot's row and column, and divides the remainder
-by its content whenever no unit is left (SNF(g·B) = g·SNF(B)); only a
-remainder of content 1 without a unit goes through the dense elimination,
-which pivots on the minimal nonzero entry, taking the first unit it meets;
-a caller can cap the width of that remainder, the one cost that no input
-bound limits.  The Hermite elimination is the only one with a transform,
-and every solve and kernel reads it (Cohen, *A Course in Computational
-Algebraic Number Theory*, 1993, §2.4): :func:`hermite_normal_form` returns
+factors only and builds no transform: :func:`invariant_factors` takes the
+content of the remainder first and divides it out when it is above 1
+(SNF(g·B) = g·SNF(B)), then sweeps the rows once for ±1 pivots, deleting
+each pivot's row and column, and repeats; a content above 1 leaves no unit
+to find, so no sweep is wasted.  Only a remainder of content 1 in which a
+sweep finds no unit goes through the dense elimination, which pivots on the
+minimal nonzero entry, taking the first unit it meets; a caller can cap the
+width of that remainder, the one cost that no input bound limits.  The
+Hermite elimination is the only one with a transform, and every solve and
+kernel reads it (Cohen, *A Course in Computational Algebraic Number
+Theory*, 1993, §2.4): :func:`hermite_normal_form` returns
 the canonical row-echelon form (positive pivots, entries above a pivot
 reduced into ``[0, pivot)``) with a unimodular ``u``;
 :func:`solve_left_rational` and :func:`solve_left` back-substitute against
@@ -209,14 +211,20 @@ def invariant_factors(rows: Sequence[SparseRow], cols: int,
     Each row is a ``{col: value}`` dict with ``0 <= col < cols``; a column
     out of range raises :class:`DimensionMismatchError`.  The elimination
     works on copies of the rows (``dict(row)``, O(nonzeros) each; zero
-    values dropped), so the caller's rows come back unchanged.  A pivot of value ±1 is
-    eliminated with its row and column deleted, and contributes one factor
-    equal to the current scale.  When no unit is left, the remainder is
-    divided by its content ``g > 1`` and the scale multiplied by ``g``, which
-    is exact because SNF(g·B) = g·SNF(B).  Only a remainder of content 1
-    without a unit goes to the dense Smith elimination, which builds no
-    transform; if that remainder has more than ``dense_limit`` columns,
-    :class:`DenseWidthError` is raised before the elimination starts.
+    values dropped), so the caller's rows come back unchanged.
+
+    Each round first takes the content ``g`` of the remainder, a gcd that
+    stops at the first row that brings it to 1; when ``g > 1`` the remainder
+    is divided by ``g`` and the scale multiplied by ``g``, which is exact
+    because SNF(g·B) = g·SNF(B).  Then one sweep eliminates pivots of value
+    ±1, deleting each pivot's row and column; each contributes one factor
+    equal to the scale.  Taking the content first gives the factors a
+    sweep-first order would: a content above 1 rules out a unit, and after
+    the division the content is 1.  So a sweep that finds no unit ends the
+    rounds, and only that remainder, of content 1 without a unit, goes to
+    the dense Smith elimination, which builds no transform; if it has more
+    than ``dense_limit`` columns, :class:`DenseWidthError` is raised before
+    the elimination starts.
     """
     live: dict[int, dict[int, int]] = {}
     where: dict[int, set[int]] = {}  # column -> live rows nonzero there
@@ -233,19 +241,20 @@ def invariant_factors(rows: Sequence[SparseRow], cols: int,
     factors: list[int] = []
     scale = 1
     while live:
-        found = _unit_pivots(live, where)
-        factors.extend([scale] * found)
-        if found:
-            continue
         g = 0
         for entries in live.values():
             g = math.gcd(g, *entries.values())
-        if g == 1:
+            if g == 1:
+                break
+        if g > 1:
+            for entries in live.values():
+                for j in entries:
+                    entries[j] //= g
+            scale *= g
+        found = _unit_pivots(live, where)
+        if not found:
             break
-        for entries in live.values():
-            for j in entries:
-                entries[j] //= g
-        scale *= g
+        factors.extend([scale] * found)
     if live:
         rest = sorted(where)
         if dense_limit is not None and len(rest) > dense_limit:
@@ -274,7 +283,8 @@ def _unit_pivots(live: dict[int, dict[int, int]],
         units = [j for j, x in prow.items() if x == 1 or x == -1]
         if not units:
             continue
-        j = min(units, key=lambda c: len(where[c]))
+        j = (units[0] if len(units) == 1
+             else min(units, key=lambda c: len(where[c])))
         u = prow.pop(j)
         del live[i]
         for c in prow:

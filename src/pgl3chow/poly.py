@@ -19,13 +19,14 @@ and, over Z/m, reduces residues.
 
 Loops that chain many products run on packed keys instead of tuples
 (Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
-packed exponent vectors", 2007): :func:`_packing` turns an exponent vector
+packed exponent vectors", 2007): :func:`packing` turns an exponent vector
 into one integer with a fixed-width bit field per variable, wide enough for
 every exponent the loop can reach, so adding exponents is one integer
 addition and :func:`_convolve` multiplies ``{packed key: coefficient}``
 dicts.  ``**`` (binary powering), :meth:`RingMap.apply` (images and their
 power cache) and :func:`elementary_symmetric` pack their inputs once, work
-on ints throughout and unpack once into ``Polynomial._clean``.
+on ints throughout and unpack once into ``Polynomial._clean``;
+:func:`presented.relation_rows` indexes a degree's basis by packed key.
 :meth:`RingMap.apply` moves a one-term image ``c*x^a``, such as every image
 of a permutation of the variables, by exponent arithmetic alone: a source
 exponent ``e`` adds ``e*pack(a)`` to the key and multiplies the
@@ -149,14 +150,20 @@ class VariableContext:
 
 @functools.lru_cache(maxsize=1024)
 def _monomials_of_degree(weights: tuple[int, ...], d: int) -> tuple[Exponent, ...]:
+    """The exponents of the last variable are not enumerated: the rest of
+    the degree fixes it, and it fits only when its weight divides that."""
     if d < 0:
         return ()
+    if not weights:
+        return ((),) if d == 0 else ()
     out: list[Exponent] = []
+    last = len(weights) - 1
+    w_last = weights[last]
 
     def rec(i: int, remaining: int, prefix: tuple[int, ...]) -> None:
-        if i == len(weights):
-            if remaining == 0:
-                out.append(prefix)
+        if i == last:
+            if remaining % w_last == 0:
+                out.append(prefix + (remaining // w_last,))
             return
         w = weights[i]
         for e in range(remaining // w, -1, -1):
@@ -318,7 +325,7 @@ class Polynomial:
         if n < 0:
             raise ValueError("negative power")
         top = n * max(itertools.chain.from_iterable(self.terms), default=0)
-        pack, unpack = _packing(self.context.arity, top)
+        pack, unpack = packing(self.context.arity, top)
         m = self.ring.modulus
         base = {pack(e): c for e, c in self.terms.items()}
         result = {0: 1}
@@ -415,7 +422,7 @@ class Polynomial:
 # ---- packed exponent kernels --------------------------------------------------
 
 
-def _packing(arity: int, top: int):
+def packing(arity: int, top: int):
     """``(pack, unpack)`` between exponent vectors of length ``arity`` with
     entries in ``[0, top]`` and ints holding one ``top.bit_length()``-bit
     field per variable, the first variable in the highest field.
@@ -475,7 +482,7 @@ def elementary_symmetric(ctx: VariableContext, ring: CoefficientRing,
     the zero polynomials at the top of the tuple.
     """
     n = sum(mult for _, mult in weight_multiplicities)
-    pack, unpack = _packing(ctx.arity, n)
+    pack, unpack = packing(ctx.arity, n)
     variables = [pack(tuple(int(i == j) for j in range(ctx.arity)))
                  for i in range(ctx.arity)]
     e: list[dict[int, int]] = [{0: 1}]
@@ -516,7 +523,7 @@ def power_product_rows(factors: Sequence[Polynomial], weights: Sequence[int],
     weights = tuple(weights)
     top = bound * max(1, max((x for f in factors for e in f.terms for x in e),
                              default=0))
-    pack, _ = _packing(ctx.arity, top)
+    pack, _ = packing(ctx.arity, top)
     m = ring.modulus
     packed = [{pack(e): c for e, c in f.terms.items()} for f in factors]
     products = {(0,) * len(factors): {0: 1}}
@@ -578,7 +585,7 @@ class RingMap:
         top = (max(map(sum, p.terms), default=0)
                * max((x for img in self.images for e in img.terms for x in e),
                      default=0))
-        pack, unpack = _packing(self.target.arity, top)
+        pack, unpack = packing(self.target.arity, top)
         m = self.target_ring.modulus
         # powers[i][k] = images[i]^(k+1), packed; single[i] = (key, coefficient)
         # of a one-term image, whose powers are never built

@@ -34,6 +34,7 @@ from .poly import (
     RingMap,
     VariableContext,
     context,
+    packing,
     parse,
 )
 
@@ -198,19 +199,31 @@ def relation_rows(pres: RingPresentation, d: int
     distinct monomials, so no entries add, and the coefficients of a
     polynomial are nonzero, so neither are the entries.  A row has as many
     entries as its relation has terms, whatever the width of the basis.
+
+    The sums ``mono + e`` are taken on packed keys (:func:`poly.packing`
+    with ``top = d``): the basis is indexed by packed key, each relation's
+    terms and each basis of a degree ``d - deg(rel)`` are packed once, and
+    a row reads ``index[pack(mono) + pack(e)]``.  Weights are at least 1,
+    so no exponent of a degree-d monomial exceeds ``d`` and the packing is
+    additive.
     """
     ctx = pres.context
     basis = ctx.monomials_of_degree(d)
-    index = {e: i for i, e in enumerate(basis)}
+    pack, _ = packing(ctx.arity, d)
+    index = {pack(e): i for i, e in enumerate(basis)}
+    lower: dict[int, list[int]] = {}
     rows: list[dict[int, int]] = []
     for rel in pres.relations:
         rel_degree = rel.weighted_degree()
         if rel_degree is None or rel_degree > d:
             continue
-        terms = rel.terms.items()
-        for mono in ctx.monomials_of_degree(d - rel_degree):
-            rows.append({index[tuple(map(operator.add, mono, e))]: c
-                         for e, c in terms})
+        terms = [(pack(e), c) for e, c in rel.terms.items()]
+        keys = lower.get(rel_degree)
+        if keys is None:
+            keys = lower[rel_degree] = list(map(
+                pack, ctx.monomials_of_degree(d - rel_degree)))
+        for key in keys:
+            rows.append({index[key + k]: c for k, c in terms})
     return basis, rows
 
 

@@ -233,16 +233,18 @@ def express_in(target: Polynomial, gens: Mapping[str, Polynomial]) -> ExpressRes
     polys = [gens[n] for n in names]
     degrees = []
     for name, g in zip(names, polys):
-        d = g.weighted_degree()
-        if d is None or not g.is_homogeneous():
+        # One pass over the terms gives both the degree and homogeneity.
+        term_degrees = set(map(g.context.weighted_degree, g.terms))
+        if len(term_degrees) != 1:
             raise ExpressError(f"generator {name} is not homogeneous and nonzero")
-        degrees.append(d)
-    d_target = target.weighted_degree()
+        degrees.extend(term_degrees)
+    target_degrees = set(map(target.context.weighted_degree, target.terms))
     gen_ctx = context(names, degrees)
-    if d_target is None:
+    if not target_degrees:
         return ExpressResult(True, Polynomial.zero(gen_ctx, target.ring), None)
-    if not target.is_homogeneous():
+    if len(target_degrees) != 1:
         raise ExpressError("target is not homogeneous")
+    (d_target,) = target_degrees
 
     monomials = gen_ctx.monomials_of_degree(d_target)
     # Generators and target are homogeneous, so every term of a product of

@@ -1,6 +1,7 @@
 """Smith and Hermite normal forms, invariant factors, kernels, membership."""
 
 import math
+import random
 from typing import Iterable
 
 import pytest
@@ -152,6 +153,99 @@ class TestInvariantFactors:
         assert rows == before
         assert rank_over_q(rows) == 4
         assert rows == before
+
+
+def sweep_first_invariant_factors(rows, cols):
+    """The order ``invariant_factors`` replaced, kept as an oracle: sweep for
+    units first, and take the content only after a sweep finds none."""
+    live = {i: {j: x for j, x in row.items() if x} for i, row in enumerate(rows)}
+    live = {i: entries for i, entries in live.items() if entries}
+    where = {}
+    for i, entries in live.items():
+        for j in entries:
+            where.setdefault(j, set()).add(i)
+    factors, scale = [], 1
+    while live:
+        found = la._unit_pivots(live, where)
+        factors.extend([scale] * found)
+        if found:
+            continue
+        g = math.gcd(*(x for entries in live.values() for x in entries.values()))
+        if g == 1:
+            break
+        live = {i: {j: x // g for j, x in e.items()} for i, e in live.items()}
+        scale *= g
+    if live:
+        rest = sorted(where)
+        diag = smith_diag([[e.get(j, 0) for j in rest] for e in live.values()])
+        factors.extend(scale * x for x in diag if x)
+    return tuple(factors) + (0,) * (min(len(rows), cols) - len(factors))
+
+
+def count_sweeps(monkeypatch):
+    """Spy on ``_unit_pivots``: the returned list gets the count of pivots
+    of each sweep."""
+    sweeps = []
+    real = la._unit_pivots
+
+    def spy(live, where):
+        sweeps.append(real(live, where))
+        return sweeps[-1]
+
+    monkeypatch.setattr(la, "_unit_pivots", spy)
+    return sweeps
+
+
+class TestContentFirst:
+    """``invariant_factors`` divides out the content before each sweep for
+    units, so a sweep is never spent on rows that cannot hold a unit."""
+
+    def test_rstar_degree_28_takes_one_sweep(self, monkeypatch):
+        # Every row of the eliminated R* presentation has content 3; after
+        # dividing it out, one sweep pivots on every row of the rank.
+        from pgl3chow.presented import (eliminate_unit_generators,
+                                        relation_rows, rstar_presentation)
+        basis, rows = relation_rows(
+            eliminate_unit_generators(rstar_presentation()), 28)
+        expected = sweep_first_invariant_factors(rows, len(basis))
+        sweeps = count_sweeps(monkeypatch)
+        factors = la.invariant_factors(rows, len(basis))
+        assert factors == expected
+        assert set(factors) == {3, 0}
+        assert sweeps == [sum(1 for f in factors if f)]
+
+    def test_content_after_unit_eliminations(self, monkeypatch):
+        # Content 1 at first; eliminating the unit of row 0 leaves content
+        # 6, and eliminating two more units after dividing leaves content 3.
+        rows = [{0: 1, 1: 2}, {0: 1, 1: 8, 2: 6}, {2: 6, 3: 12}, {3: 18}]
+        dense = [[row.get(j, 0) for j in range(4)] for row in rows]
+        sweeps = count_sweeps(monkeypatch)
+        assert la.invariant_factors(rows, 4) == smith_diag(dense) == (1, 6, 6, 18)
+        assert sweeps == [1, 2, 1]
+
+    def test_content_then_dense_remainder(self, monkeypatch):
+        # After the content 2 is divided out no unit is left: one sweep
+        # finds nothing and the remainder goes to the dense elimination.
+        rows = [{0: 4, 1: 6}, {0: 6, 1: 4}]
+        sweeps = count_sweeps(monkeypatch)
+        assert la.invariant_factors(rows, 2) == smith_diag([[4, 6], [6, 4]]) \
+            == (2, 10)
+        assert sweeps == [0]
+
+    def test_matches_the_sweep_first_order(self):
+        # Rows of a few contents, each with a unit after dividing, mixed so
+        # that contents appear only after the units of other rows go.
+        rng = random.Random(16)
+        for _ in range(200):
+            n, m = rng.randint(1, 6), rng.randint(1, 6)
+            rows = []
+            for _ in range(n):
+                g = rng.choice((1, 1, 2, 3, 6))
+                row = {j: g * rng.randint(-3, 3) for j in range(m)}
+                rows.append({j: x for j, x in row.items() if x})
+            dense = [[row.get(j, 0) for j in range(m)] for row in rows]
+            assert la.invariant_factors(rows, m) \
+                == sweep_first_invariant_factors(rows, m) == smith_diag(dense)
 
 
 class TestKernel:

@@ -12,9 +12,10 @@ from pgl3chow.poly import (
     PolynomialParseError,
     RingMap,
     RingMismatchError,
-    _packing,
+    _monomials_of_degree,
     context,
     integers_mod,
+    packing,
     parse,
     power_product_rows,
 )
@@ -186,7 +187,7 @@ class TestSubstitution:
 
 class TestPackedKernels:
     def test_packing_round_trip_and_field_layout(self):
-        pack, unpack = _packing(3, 15)
+        pack, unpack = packing(3, 15)
         assert pack((1, 0, 0)) == 1 << 8
         assert pack((0, 0, 1)) == 1
         for e in ((0, 0, 0), (15, 15, 15), (15, 0, 7), (1, 2, 3)):
@@ -313,7 +314,35 @@ class TestPackedKernels:
         assert result == expected
 
 
+def recursive_monomials(weights, bound):
+    """The exponent vectors of weighted degree ``d``, graded-lex largest
+    first, for each ``d = 0..bound``: every exponent of every variable is
+    tried in turn, the last one included.  The recursion that
+    ``_monomials_of_degree`` replaced, run once for all degrees, kept as an
+    oracle for its order and content."""
+    by_degree = [[] for _ in range(bound + 1)]
+
+    def rec(i, degree, prefix):
+        if i == len(weights):
+            by_degree[degree].append(prefix)
+            return
+        for e in range((bound - degree) // weights[i], -1, -1):
+            rec(i + 1, degree + e * weights[i], prefix + (e,))
+
+    rec(0, 0, ())
+    return [tuple(monomials) for monomials in by_degree]
+
+
 class TestGrading:
+    def test_monomials_match_the_recursive_enumerator(self):
+        enumerate_uncached = _monomials_of_degree.__wrapped__
+        for weights in ((2, 3, 4, 6, 6), (2, 3, 4, 6, 6, 8), (1, 1),
+                        (1, 1, 1), (2, 3), ()):
+            expected = recursive_monomials(weights, 80)
+            for d in range(81):
+                assert enumerate_uncached(weights, d) == expected[d], (weights, d)
+            assert enumerate_uncached(weights, -1) == ()
+
     def test_coefficient_vector_example(self):
         x1, x2, _ = xvars()
         basis, vec = (x1 * x2).coefficient_vector(2)

@@ -1,6 +1,8 @@
 """Graded components, rational ranks and unit-generator elimination of
 presented rings."""
 
+import operator
+
 import pytest
 
 from pgl3chow.poly import INTEGERS, NotHomogeneousError, Polynomial
@@ -75,6 +77,46 @@ class TestRelationRows:
                 assert 0 not in row.values()
                 assert all(0 <= j < len(basis) for j in row)
                 assert {basis[j]: c for j, c in row.items()} == product.terms
+
+
+def tuple_relation_rows(pres, d):
+    """The tuple-keyed builder that ``relation_rows`` replaced, kept as an
+    oracle: each product monomial is ``mono + e`` added as a tuple."""
+    ctx = pres.context
+    basis = ctx.monomials_of_degree(d)
+    index = {e: i for i, e in enumerate(basis)}
+    rows = []
+    for rel in pres.relations:
+        rel_degree = rel.weighted_degree()
+        if rel_degree is None or rel_degree > d:
+            continue
+        for mono in ctx.monomials_of_degree(d - rel_degree):
+            rows.append({index[tuple(map(operator.add, mono, e))]: c
+                         for e, c in rel.terms.items()})
+    return basis, rows
+
+
+class TestPackedRelationRows:
+    # The field width of the packing is d.bit_length(); it changes after
+    # these degrees and at them.
+    WIDTH_STEPS = (1, 2, 3, 4, 7, 8, 15, 16, 31, 32)
+
+    def test_rstar_rows_match_the_tuple_builder(self):
+        raw = rstar_presentation()
+        for pres in (raw, eliminate_unit_generators(raw)):
+            for d in range(41):
+                assert relation_rows(pres, d) == tuple_relation_rows(pres, d), d
+
+    def test_exponents_at_the_top_of_the_field(self):
+        # Weight-1 generators reach the exponent d itself, so a field one
+        # bit too narrow would carry into the next variable.
+        pres = RingPresentation.from_strings(
+            [("x", 1), ("y", 1), ("z", 2)],
+            ["2*x", "x*y - 3*z", "y^3 - x*z"])
+        for d in (0, *self.WIDTH_STEPS, 40):
+            basis, rows = relation_rows(pres, d)
+            assert (0, d, 0) in basis
+            assert (basis, rows) == tuple_relation_rows(pres, d), d
 
 
 class TestPartitionSeries:
