@@ -8,6 +8,11 @@ import pytest
 
 from pgl3chow import intlinalg as la
 from pgl3chow.intlinalg import SparseRow
+from pgl3chow.presented import (
+    eliminate_unit_generators,
+    relation_rows,
+    rstar_presentation,
+)
 
 
 def smith_diag(a):
@@ -203,8 +208,6 @@ class TestContentFirst:
     def test_rstar_degree_28_takes_one_sweep(self, monkeypatch):
         # Every row of the eliminated R* presentation has content 3; after
         # dividing it out, one sweep pivots on every row of the rank.
-        from pgl3chow.presented import (eliminate_unit_generators,
-                                        relation_rows, rstar_presentation)
         basis, rows = relation_rows(
             eliminate_unit_generators(rstar_presentation()), 28)
         expected = sweep_first_invariant_factors(rows, len(basis))
