@@ -37,8 +37,8 @@ from .groups import (
 )
 from .poly import (
     INTEGERS,
-    NotHomogeneousError,
     Polynomial,
+    RingMap,
     context,
     parse,
     power_product_rows,
@@ -186,13 +186,9 @@ def chi_torus() -> Polynomial:
 
 
 def describe_substitution(group: MatrixGroup, label: str) -> str:
-    matrix = group.matrix(label)
-    ctx = group.ctx
-    pieces = []
-    for i, name in enumerate(ctx.names):
-        form = Polynomial.linear_form(ctx, [matrix[j][i] for j in range(ctx.arity)])
-        pieces.append(f"{name} -> {form.render()}")
-    return ", ".join(pieces)
+    ring_map = RingMap.from_matrix(group.ctx, group.ctx, group.matrix(label))
+    return ", ".join(f"{name} -> {image.render()}"
+                     for name, image in zip(group.ctx.names, ring_map.images))
 
 
 def _sl3_chern_data() -> dict[str, Polynomial]:
@@ -275,28 +271,6 @@ def _molien_ranks(group: MatrixGroup, bound: int) -> list[int]:
     return ranks
 
 
-def _gamma_span_vectors(gammas: Mapping[str, Polynomial], bound: int
-                        ) -> list[tuple[int, list[dict[int, int]]]]:
-    """The monomials ``gamma2^a * gamma3^b * gamma6^c`` of each degree
-    ``0..bound`` as sparse ``{column: coefficient}`` rows over the degree-d
-    monomial basis of the gammas' context, one ``(width of the basis,
-    rows)`` pair per degree.
-
-    Each monomial is formed once by :func:`poly.power_product_rows`, as a
-    monomial of lower degree times a single gamma (``gamma2`` while
-    ``a > 0``, then ``gamma3``, then ``gamma6``), so powers and products are
-    shared across monomials and degrees and every product has a small
-    factor.  The gammas are checked to be homogeneous of their degrees, so
-    every product lies in the span of its degree's basis.
-    """
-    factors = (gammas["gamma2"], gammas["gamma3"], gammas["gamma6"])
-    weights = (2, 3, 6)
-    for g, w in zip(factors, weights):
-        if not g.is_homogeneous(w):
-            raise NotHomogeneousError(f"not homogeneous of degree {w}: {g.render()}")
-    return power_product_rows(factors, weights, bound)
-
-
 def _check_gamma_generation(bound: int) -> tuple[bool, Witnesses]:
     """Certify, degree by degree up to ``bound``, that the monomials in the
     gammas span the whole lattice of shift-invariant S3-invariants.
@@ -348,8 +322,10 @@ def _check_gamma_generation(bound: int) -> tuple[bool, Witnesses]:
     if wit:
         return False, wit
     ranks = _molien_ranks(s3_on_xy(), bound)
-    spans = _gamma_span_vectors(
-        {name: restrict_poly(g, TO_XY) for name, g in gammas.items()}, bound)
+    # gamma2^a * gamma3^b * gamma6^c of each degree as sparse rows over
+    # Z[x, y]_d; a gamma not homogeneous of its degree is rejected there.
+    in_xy = [restrict_poly(gammas[n], TO_XY) for n in ("gamma2", "gamma3", "gamma6")]
+    spans = power_product_rows(in_xy, (2, 3, 6), bound)
     summary = []
     for d, (rank, (width, span)) in enumerate(zip(ranks, spans)):
         factors = [f for f in intlinalg.invariant_factors(span, width) if f]

@@ -23,7 +23,6 @@ from typing import Sequence
 
 from . import intlinalg
 from .poly import (
-    INTEGERS,
     ContextMismatchError,
     Polynomial,
     RingMap,
@@ -68,12 +67,8 @@ class MatrixGroup:
     def _ring_maps(self) -> tuple[RingMap, ...]:
         """One substitution map per element, in element order, built on
         first use and kept with the group."""
-        n = self.ctx.arity
-        return tuple(
-            RingMap(self.ctx, self.ctx, tuple(
-                Polynomial.linear_form(self.ctx, [matrix[j][i] for j in range(n)])
-                for i in range(n)), INTEGERS)
-            for _, matrix in self.elements)
+        return tuple(RingMap.from_matrix(self.ctx, self.ctx, matrix)
+                     for _, matrix in self.elements)
 
     def act(self, label: str, p: Polynomial) -> Polynomial:
         if p.context != self.ctx:

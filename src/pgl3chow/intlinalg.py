@@ -235,7 +235,11 @@ def invariant_factors(rows: Sequence[SparseRow], cols: int,
         if entries:
             live[i] = entries
             for j in entries:
-                where.setdefault(j, set()).add(i)
+                rows_at = where.get(j)
+                if rows_at is None:
+                    where[j] = {i}
+                else:
+                    rows_at.add(i)
     if where and (min(where) < 0 or max(where) >= cols):
         raise DimensionMismatchError(f"a row has a column outside 0..{cols - 1}")
     factors: list[int] = []

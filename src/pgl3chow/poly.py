@@ -30,9 +30,13 @@ on ints throughout and unpack once into ``Polynomial._clean``;
 :meth:`RingMap.apply` moves a one-term image ``c*x^a``, such as every image
 of a permutation of the variables, by exponent arithmetic alone: a source
 exponent ``e`` adds ``e*pack(a)`` to the key and multiplies the
-coefficient by ``c^e``.  :func:`power_product_rows` forms the monomials in
-a few factors degree by degree on packed keys and never unpacks: it reads
-each product as a sparse row through a packed index of the degree's basis.
+coefficient by ``c^e``.  :func:`power_product_rows` is the one producer of
+generator monomials (the gamma span of ``gamma-generation`` and the rows of
+``repcalc.express_in``): it rejects a factor that is not homogeneous of its
+weight, forms the monomials degree by degree on packed keys and never
+unpacks, reading each product as a sparse row through a packed index of the
+degree's basis.  :meth:`RingMap.from_matrix` is the one reading of a matrix
+as a linear substitution, variable ``j`` to the form in column ``j``.
 A single ``*`` stays tuple-based on purpose: it would pack and unpack for
 only one convolution, and packing every ``*`` made a pass over the 16 light
 checks slower (21.5 -> 23.3 ms, in-process medians on CPython 3.11).
@@ -510,22 +514,27 @@ def power_product_rows(factors: Sequence[Polynomial], weights: Sequence[int],
     coefficient}`` rows over the degree-d monomial basis of the factors'
     context; one ``(width of the basis, rows)`` pair per degree.
 
-    Each product is formed once, as a product of lower degree times a single
-    factor (the first with a nonzero exponent), on packed keys throughout:
-    no product of degree ``<= bound`` has an exponent beyond ``bound`` times
-    the largest exponent of a factor, and no basis monomial one beyond
-    ``bound``.  Each factor must be homogeneous of its weight; a stray term
-    raises ``KeyError`` at the first product that uses the factor.
+    This is the one place generator monomials are formed, for the gamma
+    span of ``gamma-generation`` and for ``repcalc.express_in``.  Each
+    product is formed once, as a product of lower degree times a single
+    factor (the first with a nonzero exponent), on packed keys throughout.
+    Each factor must be homogeneous of its weight in the context's grading,
+    or :class:`NotHomogeneousError` is raised; the zero polynomial is, and
+    its products are empty rows.  So every product and basis monomial of
+    degree ``d`` is homogeneous of degree ``d``, and as no variable weighs
+    less than 1, none has an exponent beyond ``bound``.  A factor heavier
+    than ``bound`` takes part in no product and is not packed.
     """
     ctx, ring = factors[0].context, factors[0].ring
-    for f in factors:
-        f._check_compatible(factors[0])
     weights = tuple(weights)
-    top = bound * max(1, max((x for f in factors for e in f.terms for x in e),
-                             default=0))
-    pack, _ = packing(ctx.arity, top)
+    for f, w in zip(factors, weights):
+        f._check_compatible(factors[0])
+        if not f.is_homogeneous(w):
+            raise NotHomogeneousError(f"not homogeneous of degree {w}: {f.render()}")
+    pack, _ = packing(ctx.arity, bound)
     m = ring.modulus
-    packed = [{pack(e): c for e, c in f.terms.items()} for f in factors]
+    packed = [{pack(e): c for e, c in f.terms.items()} if w <= bound else None
+              for f, w in zip(factors, weights)]
     products = {(0,) * len(factors): {0: 1}}
     out = []
     for d in range(bound + 1):
@@ -562,6 +571,17 @@ class RingMap:
                 raise ContextMismatchError("image not over target context")
             if img.ring != self.target_ring:
                 raise RingMismatchError("image not over target ring")
+
+    @staticmethod
+    def from_matrix(source: VariableContext, target: VariableContext,
+                    matrix: Sequence[Sequence[int]],
+                    ring: CoefficientRing = INTEGERS) -> "RingMap":
+        """The linear substitution sending source variable ``j`` to the
+        linear form in the target variables read off column ``j`` of
+        ``matrix``, which has one row per target variable."""
+        return RingMap(source, target, tuple(
+            Polynomial.linear_form(target, [row[j] for row in matrix], ring)
+            for j in range(source.arity)), ring)
 
     def apply(self, p: Polynomial) -> Polynomial:
         """Substitute the images into ``p`` in one pass.

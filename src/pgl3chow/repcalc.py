@@ -12,6 +12,7 @@ lattice's polynomial context.  Mod-3 lattices keep weight coordinates in
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -20,12 +21,15 @@ from . import intlinalg
 from .poly import (
     INTEGERS,
     CoefficientRing,
+    ContextMismatchError,
     Polynomial,
     RingMap,
+    RingMismatchError,
     VariableContext,
     context,
     elementary_symmetric,
     integers_mod,
+    power_product_rows,
 )
 
 Weight = tuple[int, ...]
@@ -184,14 +188,12 @@ class LatticeMap:
                  for i in range(self.target.rank)]
         return self.target.normalize_weight(image)
 
+    @functools.cached_property
     def ring_map(self) -> RingMap:
-        images = []
-        for j in range(self.source.rank):
-            images.append(Polynomial.linear_form(
-                self.target.ctx, [self.matrix[i][j] for i in range(self.target.rank)],
-                self.target.ring))
-        return RingMap(self.source.ctx, self.target.ctx, tuple(images),
-                       self.target.ring)
+        """The substitution on Chern classes, built on first use and kept
+        with the map."""
+        return RingMap.from_matrix(self.source.ctx, self.target.ctx, self.matrix,
+                                   self.target.ring)
 
 
 def restrict_rep(r: VirtualRep, m: LatticeMap) -> VirtualRep:
@@ -203,7 +205,7 @@ def restrict_rep(r: VirtualRep, m: LatticeMap) -> VirtualRep:
 
 
 def restrict_poly(p: Polynomial, m: LatticeMap) -> Polynomial:
-    return m.ring_map().apply(p)
+    return m.ring_map.apply(p)
 
 
 # ---- expressing classes in named generators ----------------------------------
@@ -223,7 +225,11 @@ class ExpressError(ValueError):
 def express_in(target: Polynomial, gens: Mapping[str, Polynomial]) -> ExpressResult:
     """Write a homogeneous polynomial as an integer polynomial in generators.
 
-    Solves degree-wise over Z.  When several expressions exist the certificate
+    Solves degree-wise over Z.  The rows are the generator monomials of the
+    target's degree from :func:`poly.power_product_rows`, and the target's
+    coordinates are read off the same degree's monomial basis.  Every
+    generator must be a nonzero homogeneous polynomial over the target's
+    context and ring.  When several expressions exist the certificate
     is canonicalized by Hermite-reducing the coordinate vector against the
     syzygy lattice in graded-lex coordinate order, so the result is
     deterministic.  When only a rational combination exists it is reported in
@@ -238,6 +244,12 @@ def express_in(target: Polynomial, gens: Mapping[str, Polynomial]) -> ExpressRes
         if len(term_degrees) != 1:
             raise ExpressError(f"generator {name} is not homogeneous and nonzero")
         degrees.extend(term_degrees)
+    for g in polys:
+        if g.context != target.context:
+            raise ContextMismatchError(
+                f"contexts differ: {target.context.names} vs {g.context.names}")
+        if g.ring != target.ring:
+            raise RingMismatchError(f"rings differ: {target.ring} vs {g.ring}")
     target_degrees = set(map(target.context.weighted_degree, target.terms))
     gen_ctx = context(names, degrees)
     if not target_degrees:
@@ -247,32 +259,13 @@ def express_in(target: Polynomial, gens: Mapping[str, Polynomial]) -> ExpressRes
     (d_target,) = target_degrees
 
     monomials = gen_ctx.monomials_of_degree(d_target)
-    # Generators and target are homogeneous, so every term of a product of
-    # degree d_target has a column; a stray term would raise KeyError here.
-    index = {e: j for j, e in enumerate(target.context.monomials_of_degree(d_target))}
-
-    def vector(p: Polynomial) -> list:
-        vec = [0] * len(index)
-        for e, c in p.terms.items():
-            vec[index[e]] = c
-        return vec
-
-    # Each generator monomial once, as a lower one times one generator.
-    products = {(0,) * len(polys): Polynomial.constant(target.context, 1, target.ring)}
-
-    def product(exp: tuple[int, ...]) -> Polynomial:
-        if exp not in products:
-            i = next(i for i, e in enumerate(exp) if e)
-            products[exp] = product(exp[:i] + (exp[i] - 1,) + exp[i + 1:]) * polys[i]
-        return products[exp]
-
-    t_vec = vector(target)
-    rows = [vector(product(exp)) for exp in monomials]
-    if not rows:
-        if any(t_vec):
-            return ExpressResult(False, None, None)
-        return ExpressResult(True, Polynomial.zero(gen_ctx, target.ring), None)
-
+    basis = target.context.monomials_of_degree(d_target)
+    t_vec = [target.terms.get(e, 0) for e in basis]
+    if polys:
+        _, sparse = power_product_rows(polys, degrees, d_target)[d_target]
+    else:  # the empty product 1 is the one monomial in no generators
+        sparse = [{0: 1}] if d_target == 0 else []
+    rows = [[row.get(j, 0) for j in range(len(basis))] for row in sparse]
     solution = intlinalg.solve_left(t_vec, rows)
     if solution is None:
         rational = intlinalg.solve_left_rational(t_vec, rows)

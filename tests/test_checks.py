@@ -6,7 +6,7 @@ import pytest
 from pgl3chow import checks, presented
 from pgl3chow.groups import MatrixGroup, alternating_subgroup
 from pgl3chow.intlinalg import invariant_factors
-from pgl3chow.poly import NotHomogeneousError, Polynomial, context
+from pgl3chow.poly import NotHomogeneousError, Polynomial, context, power_product_rows
 from pgl3chow.repcalc import TO_XY, restrict_poly
 
 EXPECTED_NAMES = [
@@ -198,9 +198,9 @@ def _series(numerator, weights, bound):
 
 
 def polynomial_gamma_span_vectors(gammas, bound):
-    """``checks._gamma_span_vectors`` with one tuple-keyed ``Polynomial``
-    per product: the loop the packed ``poly.power_product_rows`` replaced,
-    kept as its oracle."""
+    """The gamma span rows with one tuple-keyed ``Polynomial`` per product:
+    the loop the packed ``poly.power_product_rows`` replaced, kept as its
+    oracle."""
     gen_ctx = context(("g2", "g3", "g6"), (2, 3, 6))
     factors = (gammas["gamma2"], gammas["gamma3"], gammas["gamma6"])
     for g, w in zip(factors, gen_ctx.weights):
@@ -220,6 +220,11 @@ def polynomial_gamma_span_vectors(gammas, bound):
             rows.append({index[e]: c for e, c in products[exp].terms.items()})
         out.append((len(index), rows))
     return out
+
+
+def gamma_span_rows(gammas, bound):
+    return power_product_rows(
+        [gammas[n] for n in ("gamma2", "gamma3", "gamma6")], (2, 3, 6), bound)
 
 
 class TestGammaCertificate:
@@ -250,8 +255,7 @@ class TestGammaCertificate:
         ranks = checks._molien_ranks(checks.s3_on_xy(), bound)
         for gammas in variants:
             in_xy = {name: restrict_poly(g, TO_XY) for name, g in gammas.items()}
-            spans = zip(checks._gamma_span_vectors(gammas, bound),
-                        checks._gamma_span_vectors(in_xy, bound))
+            spans = zip(gamma_span_rows(gammas, bound), gamma_span_rows(in_xy, bound))
             for d, ((width, span), (width_xy, span_xy)) in enumerate(spans):
                 assert width_xy == d + 1
                 nonzero = [f for f in invariant_factors(span, width) if f]
@@ -270,8 +274,7 @@ class TestGammaCertificate:
             for gens in (gammas, in_xy):
                 expected = polynomial_gamma_span_vectors(gens, top)
                 for bound in range(top + 1):
-                    assert checks._gamma_span_vectors(gens, bound) == \
-                        expected[:bound + 1], bound
+                    assert gamma_span_rows(gens, bound) == expected[:bound + 1], bound
 
     def test_failure_witnesses(self, monkeypatch):
         real = checks.gamma_generators()
@@ -294,6 +297,17 @@ class TestGammaCertificate:
             assert wit[f"span rank at degree {degree}"] == span
             assert wit[f"non-unit factors at degree {degree}"] == factors
             assert "lattice ranks by degree" not in wit
+
+    def test_inhomogeneous_gamma_is_an_error(self, monkeypatch):
+        # gamma2 + gamma3 is invariant, so only the homogeneity check of
+        # power_product_rows stops it.
+        real = checks.gamma_generators()
+        fake = {**real, "gamma2": real["gamma2"] + real["gamma3"]}
+        monkeypatch.setattr(checks, "gamma_generators", lambda: fake)
+        result = checks.run_check("gamma-generation", 8)
+        assert result.verdict == "error"
+        assert result.witness_dict()["error"].startswith(
+            "NotHomogeneousError: not homogeneous of degree 2: 2*x^3 ")
 
     def test_non_invariant_generator_fails_before_ranks(self, monkeypatch):
         real = checks.gamma_generators()

@@ -177,6 +177,16 @@ class TestSubstitution:
         with pytest.raises(RingMismatchError):
             RingMap(X3, X3, xvars(), INTEGERS).apply(z3)
 
+    def test_matrix_columns_are_the_images(self):
+        # Variable j goes to the form read off column j: the SL3 torus
+        # restriction x1 -> u1, x2 -> u2, x3 -> -u1 - u2, also over Z/3.
+        u = context(("u1", "u2"))
+        for ring in (INTEGERS, integers_mod(3)):
+            rm = RingMap.from_matrix(X3, u, ((1, 0, -1), (0, 1, -1)), ring)
+            u1 = Polynomial.variable(u, "u1", ring)
+            u2 = Polynomial.variable(u, "u2", ring)
+            assert rm == RingMap(X3, u, (u1, u2, -u1 - u2), ring)
+
     def test_reduction_compatibility(self):
         g2, g3, _ = gammas()
         ring = integers_mod(3)
@@ -283,7 +293,8 @@ class TestPackedKernels:
 
     def test_power_product_rows_mod_three(self):
         # f^a * g^b with f of weight 1 and g of weight 2, against tuple-keyed
-        # products; a factor with a term outside its weight is rejected.
+        # products; a factor with a term outside its weight is rejected, and
+        # the zero factor is homogeneous of every weight.
         ring = integers_mod(3)
         x1, x2, x3 = xvars(ring)
         f, g = x1 + x2, 2 * x3 ** 2
@@ -293,8 +304,15 @@ class TestPackedKernels:
             assert width == len(basis)
             assert rows == [{basis.index(e): c for e, c in (f ** a * g ** b).terms.items()}
                             for a, b in exponents.monomials_of_degree(d)]
-        with pytest.raises(KeyError):
+        with pytest.raises(NotHomogeneousError, match="degree 2"):
             power_product_rows((f, g + x1), (1, 2), 3)
+        with pytest.raises(NotHomogeneousError, match="degree 1"):
+            power_product_rows((f, g), (1, 1), 0)
+        for d, (width, rows) in enumerate(power_product_rows((f, 0 * g), (1, 2), 6)):
+            basis = X3.monomials_of_degree(d)
+            assert rows == [{basis.index(e): c for e, c in (f ** a).terms.items()}
+                            if b == 0 else {}
+                            for a, b in exponents.monomials_of_degree(d)], d
 
     def test_large_power_mod_three_is_canonical(self):
         ctx = context(("a", "b"))

@@ -5,9 +5,19 @@ import itertools
 import pytest
 
 from pgl3chow.checks import gamma_generators
-from pgl3chow.poly import INTEGERS, Polynomial, RingMap, context, elementary_symmetric
+from pgl3chow.poly import (
+    INTEGERS,
+    ContextMismatchError,
+    Polynomial,
+    RingMap,
+    RingMismatchError,
+    context,
+    elementary_symmetric,
+    integers_mod,
+)
 from pgl3chow.repcalc import (
     A3MU3_AB,
+    ExpressError,
     T_GL3,
     T_SL3_U,
     TO_SL3,
@@ -221,6 +231,11 @@ class TestRestriction:
         restricted = restrict_poly(chern_classes(standard("Sym3E_PGL3"))[3], TO_SL3)
         assert restricted == 27 * a3
 
+    def test_ring_map_is_built_once_per_lattice_map(self):
+        for lattice_map in (TO_SL3, TO_XY, TO_A3MU3):
+            assert lattice_map.ring_map is lattice_map.ring_map
+            assert lattice_map.ring_map.target_ring == lattice_map.target.ring
+
     def test_identity_lattice_map(self):
         ident = LatticeMap(T_SL3_U, T_SL3_U, ((1, 0), (0, 1)))
         w = standard("W_A3T")
@@ -315,3 +330,36 @@ class TestExpressIn:
         result = express_in(x1, {"g": x2})
         assert not result.ok
         assert result.rational_expression is None
+
+    def test_no_generators(self):
+        # The only monomial in no generators is the empty product 1.
+        ctx = T_GL3.ctx
+        result = express_in(Polynomial.variable(ctx, "x1"), {})
+        assert (result.ok, result.expression, result.rational_expression) == \
+            (False, None, None)
+        for value, text in ((5, "5"), (0, "0")):
+            result = express_in(Polynomial.constant(ctx, value), {})
+            assert result.ok
+            assert result.expression.context.names == ()
+            assert result.expression.render() == text
+
+    def test_generator_over_another_context_is_rejected(self):
+        x1 = Polynomial.variable(T_GL3.ctx, "x1")
+        with pytest.raises(ContextMismatchError):
+            express_in(x1, {"g": Polynomial.variable(T_SL3_U.ctx, "u1")})
+
+    def test_generator_over_another_ring_is_rejected(self):
+        # Not a verdict: x1 over Z is not "g" for g = x1 over Z/3.
+        x1 = Polynomial.variable(T_GL3.ctx, "x1")
+        g = Polynomial.variable(T_GL3.ctx, "x1", integers_mod(3))
+        with pytest.raises(RingMismatchError):
+            express_in(x1, {"g": g})
+
+    def test_zero_or_inhomogeneous_generator_is_rejected(self):
+        ctx = T_GL3.ctx
+        x1 = Polynomial.variable(ctx, "x1")
+        for g in (Polynomial.zero(ctx), x1 + x1 ** 2):
+            with pytest.raises(ExpressError, match="generator g is not homogeneous"):
+                express_in(x1, {"g": g})
+        with pytest.raises(ExpressError, match="target is not homogeneous"):
+            express_in(x1 + x1 ** 2, {"g": x1})
