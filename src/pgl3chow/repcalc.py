@@ -243,13 +243,12 @@ def express_in(target: Polynomial, gens: Mapping[str, Polynomial]) -> ExpressRes
         term_degrees = set(map(g.context.weighted_degree, g.terms))
         if len(term_degrees) != 1:
             raise ExpressError(f"generator {name} is not homogeneous and nonzero")
-        degrees.extend(term_degrees)
-    for g in polys:
         if g.context != target.context:
             raise ContextMismatchError(
                 f"contexts differ: {target.context.names} vs {g.context.names}")
         if g.ring != target.ring:
             raise RingMismatchError(f"rings differ: {target.ring} vs {g.ring}")
+        degrees.extend(term_degrees)
     target_degrees = set(map(target.context.weighted_degree, target.terms))
     gen_ctx = context(names, degrees)
     if not target_degrees:
