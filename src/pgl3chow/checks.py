@@ -45,10 +45,9 @@ from .poly import (
 )
 from .presented import (
     RingPresentation,
-    component_of_rows,
     eliminate_unit_generators,
+    graded_component,
     partition_series,
-    relation_rows,
     rstar_presentation,
 )
 from .repcalc import (
@@ -782,7 +781,7 @@ def _check_rstar_structure(bound: int) -> tuple[bool, Witnesses]:
     wit: Witnesses = []
     lines = []
     for d in range(bound + 1):
-        comp = component_of_rows(d, *relation_rows(pres, d))
+        comp = graded_component(pres, d)
         expected = free_ranks[d]
         lines.append(f"{d}: {comp.render()}")
         if comp.free_rank != expected:

@@ -29,9 +29,8 @@ class ConfigError(ValueError):
     pass
 
 
-# The largest degree bound accepted as input.  At 64 rstar-structure takes
-# about 0.85 s and gamma-generation about 0.6 s (wall time, Python 3.11 on a
-# shared 2-core machine); the work grows quickly beyond it.
+# The largest degree bound accepted as input: the work of rstar-structure
+# and gamma-generation grows quickly beyond it (README gives their times).
 MAX_DEGREE = 64
 
 # The widest graded component ``hilbert`` builds: the number of generator

@@ -23,9 +23,10 @@ the canonical row-echelon form (positive pivots, entries above a pivot
 reduced into ``[0, pivot)``) with a unimodular ``u``;
 :func:`solve_left_rational` and :func:`solve_left` back-substitute against
 it, and :func:`left_kernel` returns the rows of ``u`` beyond the rank,
-certified against :func:`invariant_factors`.  :func:`membership`
+certified by matrix products and a determinant, with no call to the Smith
+elimination.  :func:`membership` decides membership modulo ``m``: it
 multiplies its certificate back before it answers yes, and finds a
-separating vector before it answers no modulo ``m``.
+separating vector before it answers no.
 """
 
 from __future__ import annotations
@@ -368,29 +369,29 @@ def hermite_normal_form(gens: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix]:
 
 def left_kernel(gens: Sequence[Sequence[int]]) -> list[Vector]:
     """Basis of the lattice {v : v·gens == 0}: the rows of the Hermite
-    transform beyond the rank, certified to span the whole kernel.
+    transform beyond the rank, certified by the transform itself.
 
-    Each vector has ``v·gens == 0``; their number plus the rank of ``gens``
-    from :func:`invariant_factors` (no code shared with the Hermite
-    elimination) is ``len(gens)``; and their invariant factors are all 1.
-    So they span a saturated sublattice of the kernel of its rank: the
-    kernel.  A failed check raises ``ArithmeticError``.
+    Three checks, each raising ``ArithmeticError`` when it fails: ``u·gens``
+    is ``h`` followed by zero rows; each row of ``h`` starts strictly to the
+    right of the row above, so the rows of ``h`` are independent; and
+    :func:`bareiss_determinant` (no code shared with either elimination)
+    gives ``|det u| = 1``.  Then the rows of ``u`` are a basis of ``Z^m``,
+    and ``c·u`` kills ``gens`` exactly when ``c[:r]·h == 0``, that is when
+    ``c[:r] == 0``: the rows ``u[r:]`` span the whole kernel, and it is
+    saturated.
     """
     h, u = hermite_normal_form(gens)
-    kernel = u[len(h):]
-    if any(sum(map(operator.mul, v, col)) for col in zip(*gens) for v in kernel):
-        raise ArithmeticError("kernel vector does not annihilate the generators")
+    r = len(h)
     cols = len(gens[0]) if gens else 0
-    rank = sum(1 for d in invariant_factors(_sparse(gens), cols) if d)
-    if len(kernel) + rank != len(gens):
-        raise ArithmeticError("kernel and rank do not add up to the row count")
-    if any(d != 1 for d in invariant_factors(_sparse(kernel), len(gens))):
-        raise ArithmeticError("kernel vectors do not span a saturated lattice")
-    return kernel
-
-
-def _sparse(a: Sequence[Sequence[int]]) -> list[dict[int, int]]:
-    return [{j: x for j, x in enumerate(row) if x} for row in a]
+    if matmul(u, gens) != h + [[0] * cols for _ in range(len(gens) - r)]:
+        raise ArithmeticError("the transform does not carry the generators "
+                              "to their Hermite form over zero rows")
+    starts = [next((j for j, x in enumerate(row) if x), cols) for row in h]
+    if any(a >= b for a, b in zip([-1] + starts, starts + [cols])):
+        raise ArithmeticError("the Hermite form is not in echelon form")
+    if abs(bareiss_determinant(u)) != 1:
+        raise ArithmeticError("the Hermite transform is not unimodular")
+    return u[r:]
 
 
 # ---- solving and membership -------------------------------------------------
@@ -438,47 +439,40 @@ def solve_left(target: Sequence[int], gens: Sequence[Sequence[int]]) -> Vector |
 
 @dataclass(frozen=True)
 class MembershipResult:
-    """``certificate`` is the coefficient vector of a yes; for a no under a
-    modulus, the separating vector ``y`` of :func:`membership`."""
+    """``certificate`` is the coefficient vector of a yes, and the
+    separating vector ``y`` of :func:`membership` for a no."""
 
     member: bool
-    certificate: tuple[int, ...] | None
+    certificate: tuple[int, ...]
 
 
 def membership(target: Sequence[int], gens: Sequence[Sequence[int]],
-               modulus: int | None = None) -> MembershipResult:
-    """Decide lattice (or Z/m-module) membership with a verifiable certificate.
+               modulus: int) -> MembershipResult:
+    """Decide membership in the Z/m-module spanned by ``gens``, with a
+    verifiable certificate; :func:`solve_left` answers it over Z.
 
     A yes is believed only after the certificate is multiplied back into
-    the generators and reproduces the target (mod ``modulus`` if given);
-    a mismatch raises ``ArithmeticError``.  A no under a modulus is believed
-    only with a separating vector ``y``: ``g·y ≡ 0`` for every generator and
-    ``target·y ≢ 0`` (mod ``modulus``), which no combination of the
-    generators can satisfy; without one it raises ``ArithmeticError``.
+    the generators and reproduces the target mod ``modulus``; a mismatch
+    raises ``ArithmeticError``.  A no is believed only with a separating
+    vector ``y``: ``g·y ≡ 0`` for every generator and ``target·y ≢ 0``
+    (mod ``modulus``), which no combination of the generators can satisfy;
+    without one it raises ``ArithmeticError``.
     """
     gens = [list(map(int, g)) for g in gens]
-    target = list(map(int, target))
     n = len(target)
     if any(len(g) != n for g in gens):
         raise DimensionMismatchError("generator length differs from target")
-    if modulus is None:
-        x = solve_left(target, gens)
-        if x is None:
-            return MembershipResult(False, None)
-        certificate = tuple(x)
-    else:
-        target = [t % modulus for t in target]
-        x = solve_left(target, gens + [[modulus if i == j else 0 for j in range(n)]
-                                       for i in range(n)])
-        if x is None:
-            y = _separating_vector(target, gens, modulus)
-            if y is None:
-                raise ArithmeticError("non-membership has no separating vector")
-            return MembershipResult(False, tuple(y))
-        certificate = tuple(c % modulus for c in x[:len(gens)])
-    combined = [sum(c * g[j] for c, g in zip(certificate, gens)) for j in range(n)]
-    if modulus is not None:
-        combined = [v % modulus for v in combined]
+    target = [int(t) % modulus for t in target]
+    x = solve_left(target, gens + [[modulus if i == j else 0 for j in range(n)]
+                                   for i in range(n)])
+    if x is None:
+        y = _separating_vector(target, gens, modulus)
+        if y is None:
+            raise ArithmeticError("non-membership has no separating vector")
+        return MembershipResult(False, tuple(y))
+    certificate = tuple(c % modulus for c in x[:len(gens)])
+    combined = [sum(c * g[j] for c, g in zip(certificate, gens)) % modulus
+                for j in range(n)]
     if combined != target:
         raise ArithmeticError("membership certificate does not reproduce the target")
     return MembershipResult(True, certificate)

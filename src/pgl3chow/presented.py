@@ -227,24 +227,19 @@ def relation_rows(pres: RingPresentation, d: int
     return basis, rows
 
 
-def component_of_rows(d: int, basis: Sequence[Exponent],
-                      rows: Sequence[intlinalg.SparseRow],
-                      dense_limit: int | None = None) -> GradedComponent:
-    """The degree-d component presented by the lattice on ``basis`` modulo
-    the sparse relation ``rows``, from their Smith invariant factors; see
-    :func:`intlinalg.invariant_factors` for ``dense_limit``."""
+def graded_component(pres: RingPresentation, d: int,
+                     dense_limit: int | None = None) -> GradedComponent:
+    """The degree-d component: the lattice on the degree-d monomials modulo
+    the rows of :func:`relation_rows`, from their Smith invariant factors;
+    see :func:`intlinalg.invariant_factors` for ``dense_limit``."""
+    if d < 0:
+        raise ValueError("degree must be non-negative")
+    basis, rows = relation_rows(pres, d)
     diag = intlinalg.invariant_factors(rows, len(basis), dense_limit)
     nonzero = [x for x in diag if x != 0]
     free_rank = len(basis) - len(nonzero)
     torsion = tuple(x for x in nonzero if x > 1)
     return GradedComponent(d, free_rank, torsion)
-
-
-def graded_component(pres: RingPresentation, d: int,
-                     dense_limit: int | None = None) -> GradedComponent:
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    return component_of_rows(d, *relation_rows(pres, d), dense_limit)
 
 
 def rstar_presentation() -> RingPresentation:

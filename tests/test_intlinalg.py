@@ -274,19 +274,24 @@ class TestKernel:
             assert la.matmul(a, [[c] for c in v]) == [[0], [0]]
 
     def test_certificate_failure_raises(self, monkeypatch):
-        # Each corruption of the transform's kernel rows breaks one check:
-        # a doubled row spans an unsaturated lattice, a dropped row falls
-        # short of the rank, and a replaced row does not annihilate.
+        # Each corruption of the Hermite transform is caught by one check
+        # alone: a doubled kernel row keeps u·gens = h over zero rows but
+        # doubles det u; a dropped or replaced row breaks u·gens (the
+        # replaced one keeps det u = ±1); and for gens = [[1], [1]] the pair
+        # h = [[1], [1]], u = I passes both, but h is not in echelon form.
         hermite = la.hermite_normal_form
-        gens = la.transpose([[1, 1, 1]])
-        corruptions = (lambda u: u[:-1] + [[2 * x for x in u[-1]]],
-                       lambda u: u[:-1],
-                       lambda u: u[:-1] + [[1, 0, 0]])
-        for corrupt in corruptions:
+        cases = (
+            ([[1], [1], [1]], lambda h, u: (h, u[:-1] + [[2 * x for x in u[-1]]]),
+             "not unimodular"),
+            ([[1], [1], [1]], lambda h, u: (h, u[:-1]), "zero rows"),
+            ([[1], [1], [1]], lambda h, u: (h, u[:-1] + [[1, 0, 0]]), "zero rows"),
+            ([[1], [1]], lambda h, u: ([[1], [1]], la.identity(2)),
+             "not in echelon form"),
+        )
+        for gens, corrupt, message in cases:
             monkeypatch.setattr(la, "hermite_normal_form",
-                                lambda g, corrupt=corrupt: (
-                                    hermite(g)[0], corrupt(hermite(g)[1])))
-            with pytest.raises(ArithmeticError):
+                                lambda g, corrupt=corrupt: corrupt(*hermite(g)))
+            with pytest.raises(ArithmeticError, match=message):
                 la.left_kernel(gens)
 
     def test_hermite_transform_certifies(self):
@@ -296,14 +301,14 @@ class TestKernel:
 
 
 class TestMembership:
+    """Lattice membership: over Z by ``solve_left``, whose answer is
+    multiplied back here, and modulo ``m`` by ``membership``."""
+
     def test_simple_member(self):
-        result = la.membership([1, 1], [[1, 0], [0, 1]])
-        assert result.member
-        assert result.certificate == (1, 1)
+        assert la.solve_left([1, 1], [[1, 0], [0, 1]]) == [1, 1]
 
     def test_index_two_nonmember(self):
-        result = la.membership([1, 0], [[2, 0]])
-        assert not result.member
+        assert la.solve_left([1, 0], [[2, 0]]) is None
 
     def test_modular_membership(self):
         # 2*(2,1) = (4,2) == (1,2) mod 3
@@ -314,17 +319,18 @@ class TestMembership:
         assert recombined == [1, 2]
 
     def test_certificate_recombines(self):
+        # The generators have determinant 5; (3, 4, 3) = (1, 2, 1)·gens is
+        # a member, and (3, 5, 1) is not.
         gens = [[1, 2, 0], [0, 1, 1], [2, 0, 1]]
-        target = [3, 5, 1]
-        result = la.membership(target, gens)
-        if result.member:
-            combined = [sum(c * g[j] for c, g in zip(result.certificate, gens))
-                        for j in range(3)]
-            assert combined == target
+        target = [3, 4, 3]
+        x = la.solve_left(target, gens)
+        assert [sum(c * g[j] for c, g in zip(x, gens))
+                for j in range(3)] == target
+        assert la.solve_left([3, 5, 1], gens) is None
 
     def test_dimension_mismatch(self):
         with pytest.raises(la.DimensionMismatchError):
-            la.membership([1, 0, 0], [[1, 0]])
+            la.membership([1, 0, 0], [[1, 0]], modulus=3)
 
     def test_wrong_certificate_raises(self, monkeypatch):
         solve = la.solve_left
@@ -335,11 +341,9 @@ class TestMembership:
 
         monkeypatch.setattr(la, "solve_left", off_by_one)
         with pytest.raises(ArithmeticError):
-            la.membership([1, 1], [[1, 0], [0, 1]])
-        with pytest.raises(ArithmeticError):
             la.membership([1, 2], [[2, 1]], modulus=3)
-        # A non-member is answered without a certificate to check.
-        assert not la.membership([1, 0], [[2, 0]]).member
+        # A non-member is answered by its separating vector, not the solve.
+        assert not la.membership([1, 0], [[1, 1]], modulus=3).member
 
     def test_modular_certificate_checked_mod_m(self, monkeypatch):
         # A certificate off by the modulus still reproduces the target mod m.

@@ -223,12 +223,14 @@ class TestNormalFormLaws:
     @given(int_matrices(max_dim=3, bound=5),
            st.lists(st.integers(-5, 5), min_size=3, max_size=3))
     def test_membership_certificates_recombine(self, gens, coeffs):
+        """Integral membership: ``solve_left`` answers a member of the
+        lattice, and its answer multiplies back to the target."""
         gens = [row[:3] + [0] * (3 - len(row[:3])) for row in gens]
         target = [sum(c * g[j] for c, g in zip(coeffs, gens))
                   for j in range(3)]
-        result = la.membership(target, gens)
-        assert result.member
-        recombined = [sum(c * g[j] for c, g in zip(result.certificate, gens))
+        x = la.solve_left(target, gens)
+        assert x is not None
+        recombined = [sum(c * g[j] for c, g in zip(x, gens))
                       for j in range(3)]
         assert recombined == target
 
