@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from . import intlinalg
+from .config import check_degree_bound
 from .groups import (
     MatrixGroup,
     alternating_subgroup,
@@ -68,10 +69,6 @@ from .repcalc import (
 
 
 class UnknownCheckError(KeyError):
-    pass
-
-
-class CheckConfigError(ValueError):
     pass
 
 
@@ -1000,15 +997,13 @@ def run_check(name: str, max_degree: int | None = None) -> CheckResult:
         entry = _BY_NAME[name]
     except KeyError:
         raise UnknownCheckError(name) from None
+    if max_degree is not None:
+        check_degree_bound(max_degree, "max degree")
     start = time.perf_counter()
     try:
         bound = max_degree if max_degree is not None else entry.spec.default_max_degree
-        if bound is not None and bound < 0:
-            raise CheckConfigError("max degree must be non-negative")
         ok, witnesses = entry.run(bound)
         verdict = "pass" if ok else "fail"
-    except CheckConfigError:
-        raise
     except Exception as exc:  # pragma: no cover - defensive
         witnesses = [("error", f"{type(exc).__name__}: {exc}")]
         verdict = "error"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import checks
-from .checks import CheckConfigError, Report, UnknownCheckError
+from .checks import Report, UnknownCheckError
 from .config import (
     MAX_DEGREE,
     MAX_DENSE_WIDTH,
@@ -172,7 +172,7 @@ def cmd_check(args: argparse.Namespace, config: Config) -> int:
         print(f"error: unknown check {exc.args[0]!r}; run 'pgl3chow list'",
               file=sys.stderr)
         return 2
-    except CheckConfigError as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if config.output_format == "json":

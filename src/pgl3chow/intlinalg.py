@@ -21,12 +21,13 @@ kernel reads it (Cohen, *A Course in Computational Algebraic Number
 Theory*, 1993, §2.4): :func:`hermite_normal_form` returns
 the canonical row-echelon form (positive pivots, entries above a pivot
 reduced into ``[0, pivot)``) with a unimodular ``u``;
-:func:`solve_left_rational` and :func:`solve_left` back-substitute against
-it, and :func:`left_kernel` returns the rows of ``u`` beyond the rank,
-certified by matrix products and a determinant, with no call to the Smith
-elimination.  :func:`membership` decides membership modulo ``m``: it
-multiplies its certificate back before it answers yes, and finds a
-separating vector before it answers no.
+:func:`left_kernel` returns the rows of ``u`` beyond the rank, certified by
+matrix products and a determinant, with no call to the Smith elimination;
+and :func:`solve_left_rational` and :func:`solve_left` read their answer off
+the certified kernel of ``[-target; gens]``, with no back-substitution.
+:func:`membership` decides membership modulo ``m``: it looks for a
+separating vector before it answers no, and multiplies its certificate back
+before it answers yes.
 """
 
 from __future__ import annotations
@@ -63,9 +64,7 @@ def identity(n: int) -> Matrix:
 def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise DimensionMismatchError("inner dimensions differ")
-    cols = len(b[0]) if b else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-            for i in range(len(a))]
+    return [[sum(map(operator.mul, row, col)) for col in zip(*b)] for row in a]
 
 
 def transpose(a: Sequence[Sequence[int]]) -> Matrix:
@@ -399,38 +398,40 @@ def left_kernel(gens: Sequence[Sequence[int]]) -> list[Vector]:
 
 def solve_left_rational(target: Sequence[int],
                         gens: Sequence[Sequence[int]]) -> list[Fraction] | None:
-    """A rational x with x @ gens == target, or None when inconsistent; the
-    unique one whenever the rows of ``gens`` are independent.
+    """The canonical rational x with x @ gens == target, or None when
+    inconsistent.
 
-    Back-substitution against the Hermite form ``h`` gives the unique
-    rational ``y`` with ``y·h == target``; then ``x = y·u[:r]``.  The rows of
-    ``h`` are a Z-basis of the row lattice, so ``y``, and with it ``x``, is
-    integral exactly when the target lies in the lattice.
+    The vectors of :func:`left_kernel` of ``[-target; gens]`` are the
+    ``(a, x)`` with ``a·target == x·gens``.  That basis is certified whole,
+    so the gcd ``g`` of its first coordinates is the gcd over the entire
+    kernel: a rational solution exists exactly when ``g != 0``, and an
+    integral one exactly when ``g == 1``.  Row 0 of the Hermite form of the
+    basis is ``(g, y)``, and the rows after it are the Hermite basis of the
+    syzygies, so the entries of ``y`` at the syzygy pivots lie in
+    ``[0, pivot)``: the answer ``y / g`` is canonical.  That row is believed
+    only with ``g`` in front and after ``y·gens == g·target`` is multiplied
+    back; a mismatch raises ``ArithmeticError``.
     """
     if not gens:
         return [] if all(t == 0 for t in target) else None
     if len(target) != len(gens[0]):
         raise DimensionMismatchError("target length differs from generators")
-    h, u = hermite_normal_form(gens)
-    residue = list(map(int, target))
-    x = [0] * len(gens)
-    den = 1  # residue and x are held as den times their values
-    for row, transform in zip(h, u):
-        pivot_col = next(j for j, v in enumerate(row) if v)
-        scale = row[pivot_col] // math.gcd(residue[pivot_col], row[pivot_col])
-        if scale != 1:
-            den *= scale
-            residue = [scale * a for a in residue]
-            x = [scale * a for a in x]
-        q = residue[pivot_col] // row[pivot_col]
-        if q:
-            residue = [a - q * b for a, b in zip(residue, row)]
-            x = [a + q * b for a, b in zip(x, transform)]
-    return None if any(residue) else [Fraction(a, den) for a in x]
+    kernel = left_kernel([[-t for t in target], *gens])
+    g = math.gcd(*(v[0] for v in kernel))
+    if g == 0:
+        return None
+    h, _ = hermite_normal_form(kernel)
+    y = h[0][1:]
+    if h[0][0] != g or matmul([y], gens)[0] != [g * t for t in target]:
+        raise ArithmeticError("the Hermite form of the kernel does not "
+                              "give a solution over the kernel's gcd")
+    return [Fraction(c, g) for c in y]
 
 
 def solve_left(target: Sequence[int], gens: Sequence[Sequence[int]]) -> Vector | None:
-    """Integer row vector x with x @ gens == target, or None."""
+    """The canonical integer row vector x with x @ gens == target, or None:
+    its entries at the pivots of the syzygies' Hermite form lie in
+    ``[0, pivot)``."""
     x = solve_left_rational(target, gens)
     if x is None or any(c.denominator != 1 for c in x):
         return None
@@ -451,25 +452,28 @@ def membership(target: Sequence[int], gens: Sequence[Sequence[int]],
     """Decide membership in the Z/m-module spanned by ``gens``, with a
     verifiable certificate; :func:`solve_left` answers it over Z.
 
-    A yes is believed only after the certificate is multiplied back into
-    the generators and reproduces the target mod ``modulus``; a mismatch
-    raises ``ArithmeticError``.  A no is believed only with a separating
-    vector ``y``: ``g·y ≡ 0`` for every generator and ``target·y ≢ 0``
-    (mod ``modulus``), which no combination of the generators can satisfy;
-    without one it raises ``ArithmeticError``.
+    A no is believed only with a separating vector ``y``: ``g·y ≡ 0`` for
+    every generator and ``target·y ≢ 0`` (mod ``modulus``), which no
+    combination of the generators can satisfy.  It is looked for first, and
+    the search is complete: when no basis vector separates, no vector of
+    their span does.  Only then is the augmented system solved, for the
+    coefficients of a yes, which is believed only after they are multiplied
+    back into the generators and reproduce the target mod ``modulus``.  A
+    mismatch, or neither a separating vector nor a solution, raises
+    ``ArithmeticError``.
     """
     gens = [list(map(int, g)) for g in gens]
     n = len(target)
     if any(len(g) != n for g in gens):
         raise DimensionMismatchError("generator length differs from target")
     target = [int(t) % modulus for t in target]
+    y = _separating_vector(target, gens, modulus)
+    if y is not None:
+        return MembershipResult(False, tuple(y))
     x = solve_left(target, gens + [[modulus if i == j else 0 for j in range(n)]
                                    for i in range(n)])
     if x is None:
-        y = _separating_vector(target, gens, modulus)
-        if y is None:
-            raise ArithmeticError("non-membership has no separating vector")
-        return MembershipResult(False, tuple(y))
+        raise ArithmeticError("neither a separating vector nor a solution")
     certificate = tuple(c % modulus for c in x[:len(gens)])
     combined = [sum(c * g[j] for c, g in zip(certificate, gens)) % modulus
                 for j in range(n)]

@@ -85,14 +85,6 @@ class VirtualRep:
         return VirtualRep(lattice, tuple(sorted(
             (w, m) for w, m in acc.items() if m != 0)))
 
-    def multiplicity(self, coords: Sequence[int]) -> int:
-        w = self.lattice.normalize_weight(coords)
-        return dict(self.weights).get(w, 0)
-
-    @property
-    def dimension(self) -> int:
-        return sum(m for _, m in self.weights)
-
     def genuine_weights(self) -> tuple[tuple[Weight, int], ...]:
         """The (weight, multiplicity) pairs; only for genuine representations."""
         if any(m < 0 for _, m in self.weights):
@@ -229,10 +221,11 @@ def express_in(target: Polynomial, gens: Mapping[str, Polynomial]) -> ExpressRes
     target's degree from :func:`poly.power_product_rows`, and the target's
     coordinates are read off the same degree's monomial basis.  Every
     generator must be a nonzero homogeneous polynomial over the target's
-    context and ring.  When several expressions exist the certificate
-    is canonicalized by Hermite-reducing the coordinate vector against the
-    syzygy lattice in graded-lex coordinate order, so the result is
-    deterministic.  When only a rational combination exists it is reported in
+    context and ring.  One call to :func:`intlinalg.solve_left_rational`
+    gives the canonical coordinate vector: when several expressions exist,
+    its entries at the pivots of the syzygy lattice's Hermite form, in
+    graded-lex coordinate order, are reduced, so the result is deterministic.
+    When only a rational combination exists it is reported in
     ``rational_expression`` and ``ok`` is False.
     """
     names = list(gens)
@@ -265,24 +258,14 @@ def express_in(target: Polynomial, gens: Mapping[str, Polynomial]) -> ExpressRes
     else:  # the empty product 1 is the one monomial in no generators
         sparse = [{0: 1}] if d_target == 0 else []
     rows = [[row.get(j, 0) for j in range(len(basis))] for row in sparse]
-    solution = intlinalg.solve_left(t_vec, rows)
-    if solution is None:
-        rational = intlinalg.solve_left_rational(t_vec, rows)
-        text = None if rational is None else " + ".join(
+    solution = intlinalg.solve_left_rational(t_vec, rows)
+    if solution is None or any(c.denominator != 1 for c in solution):
+        text = None if solution is None else " + ".join(
             f"{c}*{gen_ctx.render_monomial(exp) or '1'}"
-            for exp, c in zip(monomials, rational) if c)
+            for exp, c in zip(monomials, solution) if c)
         return ExpressResult(False, None, text)
-
-    syzygies = intlinalg.left_kernel(rows)
-    if syzygies:
-        reduced, _ = intlinalg.hermite_normal_form(syzygies)
-        for row in reduced:
-            pivot = next(j for j, x in enumerate(row) if x)
-            q = solution[pivot] // row[pivot]
-            if q:
-                solution = [a - q * b for a, b in zip(solution, row)]
     expression = Polynomial(gen_ctx, target.ring,
-                            {exp: c for exp, c in zip(monomials, solution)})
+                            {exp: int(c) for exp, c in zip(monomials, solution)})
     return ExpressResult(True, expression, None)
 
 

@@ -41,7 +41,7 @@ from test_intlinalg import (
     dense_invariant_factors,
     rank_over_q,
 )
-from test_repcalc import alternating_signs, cauchy_product
+from test_repcalc import alternating_signs, cauchy_product, dimension
 
 
 def _verdict_line(number: int, name: str, ok: bool) -> None:
@@ -185,8 +185,8 @@ def test_criterion_08_repring_generators():
 def test_criterion_09_regular_rep_vanishing():
     sl3_finite = standard("sl3_A3mu3")
     sym3_finite = standard("Sym3E_A3mu3")
-    assert sl3_finite.dimension == 8
-    assert sym3_finite.dimension == 10
+    assert dimension(sl3_finite) == 8
+    assert dimension(sym3_finite) == 10
     ok = all(not c for rep in (sl3_finite, sym3_finite)
              for c in chern_classes(rep)[1:5])
     _verdict_line(9, "regular-rep-vanishing (c1..c4 = 0 over Z/3)", ok)

@@ -4,6 +4,7 @@ determinism, degree monotonicity."""
 import pytest
 
 from pgl3chow import checks, presented
+from pgl3chow.config import MAX_DEGREE, ConfigError
 from pgl3chow.groups import MatrixGroup, alternating_subgroup
 from pgl3chow.intlinalg import invariant_factors
 from pgl3chow.poly import NotHomogeneousError, Polynomial, context, power_product_rows
@@ -51,8 +52,10 @@ class TestRegistry:
             checks.run_check("no-such-check")
 
     def test_negative_degree_rejected(self):
-        with pytest.raises(checks.CheckConfigError):
-            checks.run_check("gamma-generation", -1)
+        # Both ends of the one bound check, before any work starts.
+        for bad in (-1, MAX_DEGREE + 1):
+            with pytest.raises(ConfigError, match=f"between 0 and {MAX_DEGREE}"):
+                checks.run_check("gamma-generation", bad)
 
 
 class TestVerdicts:

@@ -19,10 +19,7 @@ import pgl3chow
 SRC = Path(pgl3chow.__file__).resolve().parent
 
 # Public names kept although no line of the package uses them, with the reason.
-ALLOWED = {
-    "VirtualRep.dimension": "tests pin the catalogued representations through it",
-    "VirtualRep.multiplicity": "tests pin the catalogued representations through it",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _definitions(tree):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from typing import Iterable
 
 import pytest
@@ -74,6 +75,48 @@ def assert_hermite_transform_certifies(a):
     assert abs(la.bareiss_determinant(u)) == 1
     assert la.matmul(u[:r], a) == h
     assert all(x == 0 for row in la.matmul(u[r:], a) for x in row)
+
+
+def back_substitution_solve_rational(target, gens):
+    """The back-substitution that ``solve_left_rational`` replaced, kept as
+    an oracle: the unique rational ``y`` with ``y·h == target`` against the
+    Hermite form ``h``, then ``x = y·u[:r]``; None when inconsistent."""
+    if not gens:
+        return [] if all(t == 0 for t in target) else None
+    h, u = la.hermite_normal_form(gens)
+    residue = list(map(int, target))
+    x = [0] * len(gens)
+    den = 1  # residue and x are held as den times their values
+    for row, transform in zip(h, u):
+        pivot_col = next(j for j, v in enumerate(row) if v)
+        scale = row[pivot_col] // math.gcd(residue[pivot_col], row[pivot_col])
+        if scale != 1:
+            den *= scale
+            residue = [scale * a for a in residue]
+            x = [scale * a for a in x]
+        q = residue[pivot_col] // row[pivot_col]
+        if q:
+            residue = [a - q * b for a, b in zip(residue, row)]
+            x = [a + q * b for a, b in zip(x, transform)]
+    return None if any(residue) else [Fraction(a, den) for a in x]
+
+
+def reduced_back_substitution_solve(target, gens):
+    """The oracle's integral answer Hermite-reduced against the syzygy
+    lattice, one row after another, as ``express_in`` once did; or None."""
+    x = back_substitution_solve_rational(target, gens)
+    if x is None or any(c.denominator != 1 for c in x):
+        return None
+    x = [int(c) for c in x]
+    syzygies = la.left_kernel(gens)
+    if syzygies:
+        reduced, _ = la.hermite_normal_form(syzygies)
+        for row in reduced:
+            pivot = next(j for j, v in enumerate(row) if v)
+            q = x[pivot] // row[pivot]
+            if q:
+                x = [a - q * b for a, b in zip(x, row)]
+    return x
 
 
 class TestSmith:
@@ -365,6 +408,14 @@ class TestMembership:
         # A member has no separating vector to claim.
         assert la._separating_vector([2, 2], gens, 3) is None
 
+    def test_nonmember_needs_no_solve(self, monkeypatch):
+        # The separating vector is looked for first, so a no takes one
+        # elimination and never reaches the solve.
+        def no_solve(target, gens):
+            raise AssertionError("solve reached for a non-member")
+        monkeypatch.setattr(la, "solve_left", no_solve)
+        assert not la.membership([1, 0], [[1, 1]], modulus=3).member
+
     def test_unproven_nonmember_raises(self, monkeypatch):
         monkeypatch.setattr(la, "_separating_vector", lambda t, g, m: None)
         with pytest.raises(ArithmeticError):
@@ -378,11 +429,50 @@ class TestSolvers:
     def test_rational_fallback(self):
         solution = la.solve_left_rational([1], [[2]])
         assert solution is not None
-        from fractions import Fraction
         assert solution == [Fraction(1, 2)]
 
+    def test_canonical_under_a_syzygy(self):
+        # -4*x1 - 3*x2 = 5: the back-substitution finds (-5, 5); the
+        # syzygies are spanned by (3, -4), so the canonical answer has its
+        # first entry in [0, 3).
+        gens = [[-4], [-3]]
+        assert back_substitution_solve_rational([5], gens) == [-5, 5]
+        assert la.solve_left([5], gens) == [1, -3]
+        assert la.solve_left([5], gens) == reduced_back_substitution_solve([5], gens)
+
+    def test_rational_over_a_kernel_gcd_above_one(self):
+        # a·(1, 1) = x·gens needs 6 | a, so g = 6; the syzygy (2, 1, -1)
+        # reduces the first entry of y = (1, 1, 1) into [0, 2).
+        gens = [[2, 0], [0, 3], [4, 3]]
+        assert math.gcd(*(v[0] for v in la.left_kernel([[-1, -1]] + gens))) == 6
+        assert la.solve_left_rational([1, 1], gens) == [Fraction(1, 6)] * 3
+        assert la.solve_left([1, 1], gens) is None
+
+    def test_uncertified_hermite_row_raises(self, monkeypatch):
+        # The first Hermite call is the one left_kernel certifies; the
+        # second, of the kernel basis, is only believed when its row 0 is
+        # (g, y) with y·gens == g·target.  Dropping row 0 leaves a syzygy
+        # row with leading 0 (g is 1 here), and a changed y, or a leading
+        # entry other than g, is caught as well.
+        hermite = la.hermite_normal_form
+        corruptions = (
+            lambda h: h[1:],
+            lambda h: [[h[0][0], h[0][1] + 1] + h[0][2:]] + h[1:],
+            lambda h: [[0] + h[0][1:]] + h[1:],
+        )
+        for corrupt in corruptions:
+            calls = []
+
+            def second_call_corrupted(g, corrupt=corrupt, calls=calls):
+                calls.append(g)
+                h, u = hermite(g)
+                return (corrupt(h), u) if len(calls) == 2 else (h, u)
+
+            monkeypatch.setattr(la, "hermite_normal_form", second_call_corrupted)
+            with pytest.raises(ArithmeticError, match="kernel's gcd"):
+                la.solve_left_rational([3], [[1], [1]])
+
     def test_rational_solution_multiplies_back(self):
-        from fractions import Fraction
         # Dependent rows, so the rational solution is not unique.
         gens = [[2, 0], [0, 3], [4, 3]]
         target = [1, 1]

@@ -27,8 +27,10 @@ from pgl3chow.repcalc import (
 )
 from test_intlinalg import (
     assert_hermite_transform_certifies,
+    back_substitution_solve_rational,
     dense_invariant_factors,
     rank_over_q,
+    reduced_back_substitution_solve,
     sparse_rows,
 )
 from test_poly import tuple_apply, tuple_power
@@ -233,6 +235,24 @@ class TestNormalFormLaws:
         recombined = [sum(c * g[j] for c, g in zip(x, gens))
                       for j in range(3)]
         assert recombined == target
+
+    @LAW_SETTINGS
+    @given(int_matrices(max_dim=4, bound=4), st.booleans(),
+           st.lists(st.integers(-4, 4), min_size=4, max_size=4))
+    def test_solve_matches_the_back_substitution(self, gens, member, drawn):
+        """``solve_left`` is the back-substitution oracle's answer reduced
+        against the syzygies; ``solve_left_rational`` is None exactly when
+        the oracle's is, and otherwise multiplies back."""
+        n = len(gens[0])
+        target = ([sum(c * g[j] for c, g in zip(drawn, gens)) for j in range(n)]
+                  if member else drawn[:n])
+        assert la.solve_left(target, gens) == reduced_back_substitution_solve(
+            target, gens)
+        x = la.solve_left_rational(target, gens)
+        assert (x is None) == (back_substitution_solve_rational(target, gens) is None)
+        if x is not None:
+            assert [sum(c * g[j] for c, g in zip(x, gens))
+                    for j in range(n)] == target
 
 
 RINGS = (INTEGERS, integers_mod(3), integers_mod(4))

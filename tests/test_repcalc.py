@@ -39,14 +39,24 @@ from pgl3chow.repcalc import (
 )
 
 
+def multiplicity(rep, coords):
+    """The multiplicity of a weight in ``rep``, the weight normalised in its
+    lattice first, so a mod-3 weight may be given by any representative."""
+    return dict(rep.weights).get(rep.lattice.normalize_weight(coords), 0)
+
+
+def dimension(rep):
+    return sum(m for _, m in rep.weights)
+
+
 class TestConstructors:
     def test_sym_cube_dimension_and_weights(self):
         e = standard("E")
         s3e = sym_power(e, 3)
-        assert s3e.dimension == 10
-        assert s3e.multiplicity((3, 0, 0)) == 1
-        assert s3e.multiplicity((1, 1, 1)) == 1
-        assert s3e.multiplicity((2, 1, 0)) == 1
+        assert dimension(s3e) == 10
+        assert multiplicity(s3e, (3, 0, 0)) == 1
+        assert multiplicity(s3e, (1, 1, 1)) == 1
+        assert multiplicity(s3e, (2, 1, 0)) == 1
 
     def test_dual_of_trivial(self):
         t = trivial(T_GL3)
@@ -54,10 +64,10 @@ class TestConstructors:
 
     def test_adjoint_weights(self):
         sl3 = standard("sl3")
-        assert sl3.dimension == 8
-        assert sl3.multiplicity((0, 0, 0)) == 2
-        assert sl3.multiplicity((1, -1, 0)) == 1
-        assert sl3.multiplicity((-1, 0, 1)) == 1
+        assert dimension(sl3) == 8
+        assert multiplicity(sl3, (0, 0, 0)) == 2
+        assert multiplicity(sl3, (1, -1, 0)) == 1
+        assert multiplicity(sl3, (-1, 0, 1)) == 1
 
     def test_subtract_requires_containment(self):
         e = standard("E")
@@ -68,12 +78,12 @@ class TestConstructors:
         e = standard("E")
         from math import comb
         for k in range(5):
-            assert sym_power(e, k).dimension == comb(3 + k - 1, k)
+            assert dimension(sym_power(e, k)) == comb(3 + k - 1, k)
 
     def test_twist_shifts_weights(self):
         e = standard("E")
         shifted = twist(e, (-1, -1, -1))
-        assert shifted.multiplicity((0, -1, -1)) == 1
+        assert multiplicity(shifted, (0, -1, -1)) == 1
 
     def test_pgl3_sym_cube_is_shift_invariant(self):
         sym3 = standard("Sym3E_PGL3")
@@ -273,8 +283,8 @@ class TestCatalog:
 
     def test_mod3_lattice_uses_symmetric_representatives(self):
         rep = VirtualRep.from_weights(A3MU3_AB, [(2, 4), (-2, -4)])
-        assert rep.multiplicity((-1, 1)) == 1
-        assert rep.multiplicity((1, -1)) == 1
+        assert multiplicity(rep, (-1, 1)) == 1
+        assert multiplicity(rep, (1, -1)) == 1
 
 
 class TestExpressIn:
