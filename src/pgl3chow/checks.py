@@ -9,6 +9,12 @@ structure of the candidate presented ring.  A check either passes, fails with
 a minimal counterexample witness, or errors; all verdicts and witnesses are
 deterministic and rendered in the canonical polynomial text format.
 
+Several checks read the same inputs: the gammas feed six of them, the Chern
+classes of sl3 and Sym3 E both restriction tables, theta and c(W) three
+torus identities.  Every check is handed a per-run store, ``_Run``, that
+forms each such input on first use and keeps it; ``run_all`` shares one among
+all its checks, so each input is formed once per run.
+
 One published value is knowingly contradicted by the computation: the
 restriction table prints c6(sl3) = gamma6, but the sixth elementary symmetric
 polynomial of the root multiset of sl3 is minus the discriminant, so
@@ -25,6 +31,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from . import intlinalg
@@ -175,9 +182,9 @@ def delta_torus() -> Polynomial:
     return (u1 - u2) * (u2 - u3) * (u1 - u3)
 
 
-def chi_torus() -> Polynomial:
-    theta = theta_torus()
-    c2w, c3w = w_chern_torus()
+def chi_torus(theta: Polynomial, c2w: Polynomial, c3w: Polynomial) -> Polynomial:
+    """chi = (2*theta + 3*c3(W))^2 + 4*c2(W)^3 + 27*c3(W)^2 from its inputs,
+    :func:`theta_torus` and :func:`w_chern_torus`."""
     return (2 * theta + 3 * c3w) ** 2 + 4 * c2w ** 3 + 27 * c3w ** 2
 
 
@@ -187,20 +194,80 @@ def describe_substitution(group: MatrixGroup, label: str) -> str:
                      for name, image in zip(group.ctx.names, ring_map.images))
 
 
-def _sl3_chern_data() -> dict[str, Polynomial]:
-    c_sl3 = chern_classes(standard("sl3"))
-    c_sym3 = chern_classes(standard("Sym3E_PGL3"))
-    return {
-        "c2_sl3": c_sl3[2],
-        "c6_sl3": c_sl3[6],
-        "c2_sym3": c_sym3[2],
-        "c3_sym3": c_sym3[3],
-    }
+# ---- the per-run store ---------------------------------------------------------
+
+Witnesses = list[tuple[str, str]]
+
+
+class _Run:
+    """The inputs and derivations that several checks read, each formed on
+    first use and kept for one run: ``run_all`` shares one among all its
+    checks, and ``run_check`` alone builds a fresh one.  A member holds an
+    input or a derivation, never a verdict, so each check still decides for
+    itself; within ``run_all`` a shared derivation's time is charged to the
+    first check that reads it.  Mappings are handed out read-only."""
+
+    def __init__(self) -> None:
+        # catalogue name -> (the top it was formed to, None for all; classes)
+        self._chern: dict[str, tuple[int | None, tuple[Polynomial, ...]]] = {}
+
+    @functools.cached_property
+    def gammas(self) -> Mapping[str, Polynomial]:
+        """The module's :func:`gamma_generators`, looked up at first use."""
+        return MappingProxyType(gamma_generators())
+
+    @functools.cached_property
+    def invariance(self) -> Mapping[str, tuple[tuple[str, str], ...]]:
+        """Per gamma, its :func:`_invariance_counterexamples` under
+        ``s3_on_x()`` and the shift; empty for an invariant gamma."""
+        group = s3_on_x()
+        return MappingProxyType({
+            name: tuple(_invariance_counterexamples(name, g, group))
+            for name, g in self.gammas.items()})
+
+    @functools.cached_property
+    def gammas_xy(self) -> Mapping[str, Polynomial]:
+        """The gammas' images under ``TO_XY``: x1 -> x, x2 -> y, x3 -> 0."""
+        return MappingProxyType({name: restrict_poly(g, TO_XY)
+                                 for name, g in self.gammas.items()})
+
+    def chern(self, name: str, top: int | None = None) -> tuple[Polynomial, ...]:
+        """``chern_classes(standard(name), top)``: formed at most once per
+        run unless a later call wants more classes than an earlier one
+        formed; otherwise the prefix of what was formed."""
+        kept = self._chern.get(name)
+        if kept is None or (kept[0] is not None and (top is None or top > kept[0])):
+            kept = top, chern_classes(standard(name), top)
+            self._chern[name] = kept
+        return kept[1][:None if top is None else top + 1]
+
+    @functools.cached_property
+    def sl3_chern(self) -> Mapping[str, Polynomial]:
+        """c2, c6 of sl3 and c2, c3 of Sym3 E on the GL3 torus, the classes
+        the two restriction tables read; no higher class is formed."""
+        c_sl3 = self.chern("sl3", 6)
+        c_sym3 = self.chern("Sym3E_PGL3", 3)
+        return MappingProxyType({
+            "c2_sl3": c_sl3[2],
+            "c6_sl3": c_sl3[6],
+            "c2_sym3": c_sym3[2],
+            "c3_sym3": c_sym3[3],
+        })
+
+    @functools.cached_property
+    def theta(self) -> Polynomial:
+        return theta_torus()
+
+    @functools.cached_property
+    def w_chern(self) -> tuple[Polynomial, Polynomial]:
+        return w_chern_torus()
+
+    @functools.cached_property
+    def chi(self) -> Polynomial:
+        return chi_torus(self.theta, *self.w_chern)
 
 
 # ---- individual checks ---------------------------------------------------------
-
-Witnesses = list[tuple[str, str]]
 
 
 def _invariance_counterexamples(name: str, g: Polynomial,
@@ -221,13 +288,12 @@ def _invariance_counterexamples(name: str, g: Polynomial,
     return wit
 
 
-def _check_gamma_invariance(max_degree: int | None) -> tuple[bool, Witnesses]:
-    gammas = gamma_generators()
-    group = s3_on_x()
+def _check_gamma_invariance(run: _Run, max_degree: int | None
+                            ) -> tuple[bool, Witnesses]:
     ok = True
     wit: Witnesses = []
-    for name, g in gammas.items():
-        counterexamples = _invariance_counterexamples(name, g, group)
+    for name, g in run.gammas.items():
+        counterexamples = run.invariance[name]
         if counterexamples:
             ok = False
             wit.extend(counterexamples)
@@ -267,7 +333,7 @@ def _molien_ranks(group: MatrixGroup, bound: int) -> list[int]:
     return ranks
 
 
-def _check_gamma_generation(bound: int) -> tuple[bool, Witnesses]:
+def _check_gamma_generation(run: _Run, bound: int) -> tuple[bool, Witnesses]:
     """Certify, degree by degree up to ``bound``, that the monomials in the
     gammas span the whole lattice of shift-invariant S3-invariants.
 
@@ -277,10 +343,12 @@ def _check_gamma_generation(bound: int) -> tuple[bool, Witnesses]:
     degree ``d``, both in the coordinates ``Z^n`` of the degree-``d``
     monomials.
 
-    * ``L_d ⊆ I_d``: each gamma is re-verified here to be fixed by every
-      element of ``s3_on_x()`` and to have zero shift derivative, and both
-      properties pass to products (the action is a ring map; the derivative
-      obeys the Leibniz rule).
+    * ``L_d ⊆ I_d``: each gamma is verified to be fixed by every element
+      of ``s3_on_x()`` and to have zero shift derivative (the witnesses of
+      ``run.invariance``, which ``gamma-invariance`` reads too and which are
+      formed here when this check runs alone), and both properties pass to
+      products (the action is a ring map; the derivative obeys the Leibniz
+      rule).
     * ``rank I_d`` is the Molien coefficient of ``s3_on_xy()``.  Over Q a
       form is killed by the shift derivative exactly when it is a polynomial
       in ``x1 - x3`` and ``x2 - x3``, so the shift-invariant part of
@@ -304,23 +372,19 @@ def _check_gamma_generation(bound: int) -> tuple[bool, Witnesses]:
       map, so it sends each gamma monomial to the same monomial in the
       restricted gammas, and the invariant factors of ``L_d`` are those of
       its image.  This needs the gammas in ``S_d``, which is why the
-      invariance re-check comes before the span.
+      invariance check comes before the span.
 
     A degree where either condition fails is reported with its Molien rank,
     the span rank and the non-unit invariant factors.  Saturation is needed
     beyond the rank count: a span of full rank may still have index > 1.
     """
-    gammas = gamma_generators()
-    group = s3_on_x()
-    wit: Witnesses = []
-    for name, g in gammas.items():
-        wit.extend(_invariance_counterexamples(name, g, group))
+    wit: Witnesses = [w for found in run.invariance.values() for w in found]
     if wit:
         return False, wit
     ranks = _molien_ranks(s3_on_xy(), bound)
     # gamma2^a * gamma3^b * gamma6^c of each degree as sparse rows over
     # Z[x, y]_d; a gamma not homogeneous of its degree is rejected there.
-    in_xy = [restrict_poly(gammas[n], TO_XY) for n in ("gamma2", "gamma3", "gamma6")]
+    in_xy = [run.gammas_xy[n] for n in ("gamma2", "gamma3", "gamma6")]
     spans = power_product_rows(in_xy, (2, 3, 6), bound)
     summary = []
     for d, (rank, (width, span)) in enumerate(zip(ranks, spans)):
@@ -340,10 +404,11 @@ def _check_gamma_generation(bound: int) -> tuple[bool, Witnesses]:
     return True, wit
 
 
-def _check_gamma_syzygy(max_degree: int | None) -> tuple[bool, Witnesses]:
-    g = gamma_generators()
-    lhs = g["gamma2"] ** 3 - g["gamma3"] ** 2
-    rhs = -3 * (g["gamma2"] ** 3 - 9 * g["gamma6"])
+def _check_gamma_syzygy(run: _Run, max_degree: int | None) -> tuple[bool, Witnesses]:
+    g = run.gammas
+    gamma2_cubed = g["gamma2"] ** 3
+    lhs = gamma2_cubed - g["gamma3"] ** 2
+    rhs = -3 * (gamma2_cubed - 9 * g["gamma6"])
     difference = lhs - rhs
     wit: Witnesses = [("gamma2^3 - gamma3^2 + 3*(gamma2^3 - 9*gamma6)",
                        difference.render())]
@@ -357,12 +422,11 @@ _TWO_VARIABLE_EXPECTED = {
 }
 
 
-def _check_two_variable_gammas(max_degree: int | None) -> tuple[bool, Witnesses]:
-    gammas = gamma_generators()
+def _check_two_variable_gammas(run: _Run, max_degree: int | None
+                               ) -> tuple[bool, Witnesses]:
     ok = True
     wit: Witnesses = []
-    for name, g in gammas.items():
-        image = restrict_poly(g, TO_XY)
+    for name, image in run.gammas_xy.items():
         expected = parse(_TWO_VARIABLE_EXPECTED[name], T_PGL3_XY.ctx, INTEGERS)
         wit.append((f"{name} in x,y", image.render()))
         if image != expected:
@@ -378,7 +442,8 @@ _TWISTACTION_XY = {
 }
 
 
-def _check_twistaction_group(max_degree: int | None) -> tuple[bool, Witnesses]:
+def _check_twistaction_group(run: _Run, max_degree: int | None
+                             ) -> tuple[bool, Witnesses]:
     group = s3_on_xy()
     ok = True
     wit: Witnesses = []
@@ -413,9 +478,10 @@ _HSURJ_PUBLISHED = {
 }
 
 
-def _check_hsurj_restrictions(max_degree: int | None) -> tuple[bool, Witnesses]:
-    gammas = gamma_generators()
-    data = _sl3_chern_data()
+def _check_hsurj_restrictions(run: _Run, max_degree: int | None
+                              ) -> tuple[bool, Witnesses]:
+    gammas = run.gammas
+    data = run.sl3_chern
     gen_ctx = context(tuple(gammas), (2, 3, 6))
     ok = True
     wit: Witnesses = []
@@ -441,7 +507,7 @@ def _check_hsurj_restrictions(max_degree: int | None) -> tuple[bool, Witnesses]:
     return ok, wit
 
 
-def _check_transfer_laws(max_degree: int | None) -> tuple[bool, Witnesses]:
+def _check_transfer_laws(run: _Run, max_degree: int | None) -> tuple[bool, Witnesses]:
     ok = True
     wit: Witnesses = []
     group = a3_on_u()
@@ -455,7 +521,7 @@ def _check_transfer_laws(max_degree: int | None) -> tuple[bool, Witnesses]:
                         (group.act(label, summed) - summed).render()))
     wit.append(("orbit sum of u1^2*u2", summed.render()))
 
-    gammas = gamma_generators()
+    gammas = run.gammas
     sym_group = s3_on_x()
     scaled = sym_group.orbit_sum(gammas["gamma2"])
     if scaled != 6 * gammas["gamma2"]:
@@ -474,9 +540,10 @@ def _check_transfer_laws(max_degree: int | None) -> tuple[bool, Witnesses]:
     return ok, wit
 
 
-def _check_chi_underline_vanishes(max_degree: int | None) -> tuple[bool, Witnesses]:
-    theta = theta_torus()
-    chi = chi_torus()
+def _check_chi_underline_vanishes(run: _Run, max_degree: int | None
+                                  ) -> tuple[bool, Witnesses]:
+    theta = run.theta
+    chi = run.chi
     wit: Witnesses = [
         ("theta on the torus", theta.render()),
         ("chi on the torus", chi.render()),
@@ -484,10 +551,10 @@ def _check_chi_underline_vanishes(max_degree: int | None) -> tuple[bool, Witness
     return not chi, wit
 
 
-def _check_theta_epsilon(max_degree: int | None) -> tuple[bool, Witnesses]:
+def _check_theta_epsilon(run: _Run, max_degree: int | None) -> tuple[bool, Witnesses]:
     group = s3_on_u()
-    theta = theta_torus()
-    _, c3w = w_chern_torus()
+    theta = run.theta
+    _, c3w = run.w_chern
     theta_eps = group.act("(12)", theta)
     difference = theta_eps - theta - 3 * c3w
     wit: Witnesses = [
@@ -499,11 +566,12 @@ def _check_theta_epsilon(max_degree: int | None) -> tuple[bool, Witnesses]:
     return not difference, wit
 
 
-def _check_delta_discriminant(max_degree: int | None) -> tuple[bool, Witnesses]:
+def _check_delta_discriminant(run: _Run, max_degree: int | None
+                              ) -> tuple[bool, Witnesses]:
     delta = delta_torus()
-    c2w, c3w = w_chern_torus()
+    c2w, c3w = run.w_chern
     identity = delta ** 2 + 4 * c2w ** 3 + 27 * c3w ** 2
-    combination = 2 * theta_torus() + 3 * c3w
+    combination = 2 * run.theta + 3 * c3w
     if combination == delta:
         sign = "+1"
     elif combination == -delta:
@@ -521,7 +589,7 @@ def _check_delta_discriminant(max_degree: int | None) -> tuple[bool, Witnesses]:
     return ok, wit
 
 
-def _check_point_class(max_degree: int | None) -> tuple[bool, Witnesses]:
+def _check_point_class(run: _Run, max_degree: int | None) -> tuple[bool, Witnesses]:
     ctx = context(("l", "u1", "u2"))
     l = Polynomial.variable(ctx, "l")
     u1 = Polynomial.variable(ctx, "u1")
@@ -546,10 +614,10 @@ def _a3mu3_variables() -> tuple[Polynomial, Polynomial]:
             Polynomial.variable(ctx, "b", ring))
 
 
-def _check_a3mu3_chern(max_degree: int | None) -> tuple[bool, Witnesses]:
+def _check_a3mu3_chern(run: _Run, max_degree: int | None) -> tuple[bool, Witnesses]:
     a, b = _a3mu3_variables()
-    c_w = chern_classes(standard("W_A3mu3"))
-    c_sl3 = chern_classes(standard("sl3_A3mu3"))
+    c_w = run.chern("W_A3mu3")
+    c_sl3 = run.chern("sl3_A3mu3")
     cases = [
         ("c2(W)", c_w[2], -(a ** 2)),
         ("c3(W)", c_w[3], b * (b ** 2 - a ** 2)),
@@ -566,21 +634,23 @@ def _check_a3mu3_chern(max_degree: int | None) -> tuple[bool, Witnesses]:
     return ok, wit
 
 
-def _check_rho_squared(max_degree: int | None) -> tuple[bool, Witnesses]:
+def _check_rho_squared(run: _Run, max_degree: int | None) -> tuple[bool, Witnesses]:
     a, _ = _a3mu3_variables()
-    rho_restricted = a * chern_classes(standard("W_A3mu3"))[3]
-    c8 = chern_classes(standard("sl3_A3mu3"))[8]
-    difference = rho_restricted ** 2 - c8
+    rho_restricted = a * run.chern("W_A3mu3")[3]
+    rho_squared = rho_restricted ** 2
+    c8 = run.chern("sl3_A3mu3")[8]
+    difference = rho_squared - c8
     wit: Witnesses = [
         ("rho restricted: a*c3(W)", rho_restricted.render()),
-        ("(a*c3(W))^2", (rho_restricted ** 2).render()),
+        ("(a*c3(W))^2", rho_squared.render()),
         ("c8(sl3)", c8.render()),
         ("difference", difference.render()),
     ]
     return not difference, wit
 
 
-def _check_alphabeta_nonmembership(max_degree: int | None) -> tuple[bool, Witnesses]:
+def _check_alphabeta_nonmembership(run: _Run, max_degree: int | None
+                                   ) -> tuple[bool, Witnesses]:
     ctx = A3MU3_AB.ctx
     ring = A3MU3_AB.ring
     a, b = _a3mu3_variables()
@@ -613,8 +683,9 @@ _SL3_EXPECTED = {
 }
 
 
-def _check_sl3_restriction(max_degree: int | None) -> tuple[bool, Witnesses]:
-    data = _sl3_chern_data()
+def _check_sl3_restriction(run: _Run, max_degree: int | None
+                           ) -> tuple[bool, Witnesses]:
+    data = run.sl3_chern
     c_e = chern_classes(restrict_rep(standard("E"), TO_SL3))
     gens = {"a2": c_e[2], "a3": c_e[3]}
     gen_ctx = context(("a2", "a3"), (2, 3))
@@ -673,7 +744,7 @@ def _laurent_reduce(p: Polynomial) -> Polynomial:
     return Polynomial(p.context, p.ring, terms)
 
 
-def _check_repring_generators(bound: int) -> tuple[bool, Witnesses]:
+def _check_repring_generators(run: _Run, bound: int) -> tuple[bool, Witnesses]:
     ctx = T_GL3.ctx
     x = [Polynomial.variable(ctx, n) for n in ctx.names]
     one = Polynomial.constant(ctx, 1)
@@ -726,11 +797,12 @@ def _check_repring_generators(bound: int) -> tuple[bool, Witnesses]:
     return ok, wit
 
 
-def _check_regular_rep_vanishing(max_degree: int | None) -> tuple[bool, Witnesses]:
+def _check_regular_rep_vanishing(run: _Run, max_degree: int | None
+                                 ) -> tuple[bool, Witnesses]:
     ok = True
     wit: Witnesses = []
     for name, key in (("sl3 = reg - 1", "sl3_A3mu3"), ("Sym3E = reg + 1", "Sym3E_A3mu3")):
-        for i, value in enumerate(chern_classes(standard(key))[1:5], 1):
+        for i, value in enumerate(run.chern(key, 4)[1:], 1):
             wit.append((f"c{i} of {name}", value.render()))
             if value:
                 ok = False
@@ -744,7 +816,7 @@ _RSTAR_FREE_DEGREES = (2, 3)
 _RSTAR_MOD3_DEGREES = (2, 3, 4, 6, 6)
 
 
-def _check_rstar_structure(bound: int) -> tuple[bool, Witnesses]:
+def _check_rstar_structure(run: _Run, bound: int) -> tuple[bool, Witnesses]:
     """Certify the graded components of ``R*``: in every degree by a proof
     whose hypotheses are checked once, and degree by degree up to ``bound``
     against the closed-form table, free rank and whole torsion.
@@ -866,7 +938,7 @@ def _every_degree_failure(pres: RingPresentation) -> str | None:
 @dataclass(frozen=True)
 class _Entry:
     spec: CheckSpec
-    run: Callable[[int | None], tuple[bool, Witnesses]]
+    run: Callable[[_Run, int | None], tuple[bool, Witnesses]]
 
 
 _REGISTRY: tuple[_Entry, ...] = (
@@ -992,7 +1064,12 @@ def list_checks() -> list[CheckSpec]:
     return [entry.spec for entry in _REGISTRY]
 
 
-def run_check(name: str, max_degree: int | None = None) -> CheckResult:
+def run_check(name: str, max_degree: int | None = None, *,
+              run: _Run | None = None) -> CheckResult:
+    """Run one check to ``max_degree`` (its default bound when None).  The
+    check reads shared inputs and derivations from ``run``: ``run_all``
+    passes the one it shares among its checks, and without it the check
+    builds its own."""
     try:
         entry = _BY_NAME[name]
     except KeyError:
@@ -1002,7 +1079,7 @@ def run_check(name: str, max_degree: int | None = None) -> CheckResult:
     start = time.perf_counter()
     try:
         bound = max_degree if max_degree is not None else entry.spec.default_max_degree
-        ok, witnesses = entry.run(bound)
+        ok, witnesses = entry.run(run if run is not None else _Run(), bound)
         verdict = "pass" if ok else "fail"
     except Exception as exc:  # pragma: no cover - defensive
         witnesses = [("error", f"{type(exc).__name__}: {exc}")]
@@ -1022,8 +1099,9 @@ def run_all(max_degree_overrides: Mapping[str, int] | None = None,
             global_max_degree: int | None = None) -> Report:
     overrides = dict(max_degree_overrides or {})
     validate_overrides(overrides)
+    run = _Run()
     results = []
     for entry in _REGISTRY:
         bound = overrides.get(entry.spec.name, global_max_degree)
-        results.append(run_check(entry.spec.name, bound))
+        results.append(run_check(entry.spec.name, bound, run=run))
     return Report(tuple(results))

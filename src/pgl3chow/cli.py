@@ -189,7 +189,13 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    pres = eliminate_unit_generators(pres)
+    # Degrees 0..N read only the relations of degree at most N: the degree-d
+    # part of the ideal is spanned by relation * monomial products of degree
+    # d.  The rest are dropped before the elimination substitutes into them.
+    ctx = pres.context
+    low = tuple(rel for rel in pres.relations
+                if all(ctx.weighted_degree(e) <= args.max_degree for e in rel.terms))
+    pres = eliminate_unit_generators(RingPresentation(pres.generators, low))
     lines = []
     for d in range(args.max_degree + 1):
         try:

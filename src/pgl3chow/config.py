@@ -10,7 +10,9 @@ Grammar (line oriented; ``#`` starts a comment, blank lines are ignored)::
     generators = name:degree name:degree ...
     relation = <polynomial text over the generator symbols>
 
-Unknown section kinds and unknown keys are rejected rather than ignored.
+Unknown section kinds and unknown keys are rejected rather than ignored, and
+so is a second ``[options]`` section, a second presentation of one name and a
+repeated key: a later value never silently replaces an earlier one.
 Every degree bound given as input, here or by ``--max-degree``, is checked
 by :func:`check_degree_bound` against the one limit ``MAX_DEGREE``, and
 ``hilbert`` checks each degree's basis width against ``MAX_BASIS_WIDTH`` and
@@ -88,17 +90,22 @@ class _SectionBuilder:
         self.entries.append((key, value, lineno))
 
     def single(self, key: str) -> str:
-        values = [v for k, v, _ in self.entries if k == key]
-        if not values:
+        found = [(v, lineno) for k, v, lineno in self.entries if k == key]
+        if not found:
             raise ConfigError(f"section [{self.kind} {self.name}] is missing "
                               f"'{key}'")
-        if len(values) > 1:
-            raise ConfigError(f"duplicate '{key}' in [{self.kind} {self.name}]")
-        return values[0]
+        if len(found) > 1:
+            raise ConfigError(f"line {found[1][1]}: duplicate '{key}' in "
+                              f"[{self.kind} {self.name}]")
+        return found[0][0]
 
 
 def _finish_options(section: _SectionBuilder, cfg: UserConfig) -> None:
+    seen: set[str] = set()
     for key, value, lineno in section.entries:
+        if key in seen:
+            raise ConfigError(f"line {lineno}: duplicate options key {key!r}")
+        seen.add(key)
         tokens = key.split()
         if tokens == ["format"]:
             if value not in ("text", "json"):
@@ -156,6 +163,7 @@ _FINISHERS = {
 def parse_config(text: str) -> UserConfig:
     cfg = UserConfig()
     current: _SectionBuilder | None = None
+    headers: set[tuple[str, str | None]] = set()
 
     def finish(section: _SectionBuilder | None) -> None:
         if section is None:
@@ -176,6 +184,13 @@ def parse_config(text: str) -> UserConfig:
             kind, name = match.group(1), match.group(2)
             if kind not in _FINISHERS:
                 raise ConfigError(f"line {lineno}: unknown section kind {kind!r}")
+            # One [options] section, whatever it is called, and one
+            # presentation per name.
+            header = (kind, None if kind == "options" else name)
+            if header in headers:
+                shown = " ".join(filter(None, header))
+                raise ConfigError(f"line {lineno}: duplicate section [{shown}]")
+            headers.add(header)
             finish(current)
             current = _SectionBuilder(kind, name, lineno)
             continue

@@ -476,17 +476,20 @@ def _trim(terms: dict[int, int], m: int | None) -> dict[int, int]:
 
 
 def elementary_symmetric(ctx: VariableContext, ring: CoefficientRing,
-                         weight_multiplicities: Sequence[tuple[Sequence[int], int]]
-                         ) -> tuple[Polynomial, ...]:
-    """``(e_0, ..., e_n)`` of the linear forms ``sum_i w_i * x_i``, each
-    taken with its multiplicity, ``n`` the sum of the multiplicities.
+                         weight_multiplicities: Sequence[tuple[Sequence[int], int]],
+                         top: int | None = None) -> tuple[Polynomial, ...]:
+    """``(e_0, ..., e_top)`` of the linear forms ``sum_i w_i * x_i``, each
+    taken with its multiplicity; ``top`` defaults to, and is capped at, ``n``,
+    the sum of the multiplicities.
 
-    One pass of ``e[k] += e[k-1]*form`` per form copy on packed keys; no
-    exponent exceeds ``n``.  Zero forms are skipped, so their classes are
-    the zero polynomials at the top of the tuple.
+    One pass of ``e[k] += e[k-1]*form`` per form copy on packed keys, over
+    ``k <= top`` only, so no class above ``top`` is formed and no exponent
+    exceeds ``top``.  Zero forms are skipped, so their classes are the zero
+    polynomials at the top of the tuple.
     """
     n = sum(mult for _, mult in weight_multiplicities)
-    pack, unpack = packing(ctx.arity, n)
+    top = n if top is None else min(top, n)
+    pack, unpack = packing(ctx.arity, top)
     variables = [pack(tuple(int(i == j) for j in range(ctx.arity)))
                  for i in range(ctx.arity)]
     e: list[dict[int, int]] = [{0: 1}]
@@ -497,13 +500,15 @@ def elementary_symmetric(ctx: VariableContext, ring: CoefficientRing,
         if not form:
             continue
         for _ in range(mult):
-            e.append(_convolve(e[-1], form))
-            for k in range(len(e) - 2, 0, -1):
+            grown = len(e) <= top
+            if grown:
+                e.append(_convolve(e[-1], form))
+            for k in range(len(e) - 1 - grown, 0, -1):
                 _convolve(e[k - 1], form, e[k])
     classes = [Polynomial._clean(ctx, ring, {unpack(k): c for k, c in t.items()})
                for t in e]
     zero = Polynomial._clean(ctx, ring, {})
-    return tuple(classes) + (zero,) * (n + 1 - len(classes))
+    return tuple(classes) + (zero,) * (top + 1 - len(classes))
 
 
 def power_product_rows(factors: Sequence[Polynomial], weights: Sequence[int],

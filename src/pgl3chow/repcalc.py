@@ -151,11 +151,14 @@ def twist(r: VirtualRep, w: Sequence[int]) -> VirtualRep:
 # ---- Chern classes ----------------------------------------------------------
 
 
-def chern_classes(r: VirtualRep) -> tuple[Polynomial, ...]:
+def chern_classes(r: VirtualRep, top: int | None = None) -> tuple[Polynomial, ...]:
     """Total Chern class ``(c_0, ..., c_n)`` of a genuine representation of
     dimension ``n``: the elementary symmetric polynomials of its weights'
-    linear forms, each weight taken with its multiplicity."""
-    return elementary_symmetric(r.lattice.ctx, r.lattice.ring, r.genuine_weights())
+    linear forms, each weight taken with its multiplicity.  Given ``top``,
+    only ``(c_0, ..., c_top)`` (all of them when ``top >= n``) are formed,
+    which equals the same prefix of the total class."""
+    return elementary_symmetric(r.lattice.ctx, r.lattice.ring, r.genuine_weights(),
+                                top)
 
 
 # ---- lattice maps -----------------------------------------------------------

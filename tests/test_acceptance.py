@@ -18,6 +18,7 @@ from pgl3chow.checks import (
     gamma_generators,
     s3_on_u,
     s3_on_x,
+    theta_torus,
     w_chern_torus,
 )
 from pgl3chow.poly import INTEGERS, Polynomial, RingMap, context
@@ -91,8 +92,8 @@ def test_criterion_03_gamma_syzygy():
 
 
 def test_criterion_04_chi_vanishes_and_delta_discriminant():
-    chi = chi_torus()
     c2w, c3w = w_chern_torus()
+    chi = chi_torus(theta_torus(), c2w, c3w)
     delta = delta_torus()
     identity = delta ** 2 + 4 * c2w ** 3 + 27 * c3w ** 2
     ok = (not chi) and (not identity)

@@ -342,9 +342,91 @@ class TestGammaCertificate:
         assert not any(key.startswith("counterexample at degree") for key in wit)
 
 
+class TestSharedRun:
+    """``run_all`` shares one ``_Run`` among its checks; ``run_check`` builds
+    its own.  Each producer is counted through the module attribute the run
+    reads it by."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        from pgl3chow import repcalc
+        catalogue = {id(rep): name for name, rep in repcalc.REPRESENTATIONS.items()}
+        calls = {"gamma_generators": 0, "theta_torus": 0, "w_chern_torus": 0}
+        chern = []  # (catalogue name or None, top) per chern_classes call
+
+        def counted(name):
+            real = getattr(checks, name)
+
+            def wrapper():
+                calls[name] += 1
+                return real()
+            monkeypatch.setattr(checks, name, wrapper)
+
+        for name in calls:
+            counted(name)
+        real_chern = checks.chern_classes
+
+        def chern_spy(rep, top=None):
+            chern.append((catalogue.get(id(rep)), top))
+            return real_chern(rep, top)
+        monkeypatch.setattr(checks, "chern_classes", chern_spy)
+        return calls, chern
+
+    def test_run_all_forms_each_shared_input_once(self, monkeypatch):
+        calls, chern = self.spy(monkeypatch)
+        checks.run_all()
+        assert calls == {"gamma_generators": 1, "theta_torus": 1,
+                         "w_chern_torus": 1}
+        catalogued = sorted(c for c in chern if c[0] is not None)
+        assert catalogued == sorted([
+            ("sl3", 6), ("Sym3E_PGL3", 3), ("W_A3T", None),
+            ("W_A3mu3", None), ("sl3_A3mu3", None), ("Sym3E_A3mu3", 4)])
+
+    def test_run_check_forms_each_producer_at_most_once(self, monkeypatch):
+        calls, chern = self.spy(monkeypatch)
+        for name in EXPECTED_NAMES:
+            for key in calls:
+                calls[key] = 0
+            chern.clear()
+            checks.run_check(name)
+            assert max(calls.values()) <= 1, (name, calls)
+            names = [n for n, _ in chern if n is not None]
+            assert len(names) == len(set(names)), (name, chern)
+
+    def test_run_check_witnesses_match_run_all(self):
+        for shared in checks.run_all().results:
+            alone = checks.run_check(shared.name)
+            assert (alone.verdict, alone.witnesses) == \
+                (shared.verdict, shared.witnesses), shared.name
+
+    def test_planted_non_invariant_gamma_fails_both_readers(self, monkeypatch):
+        real = checks.gamma_generators()
+        x1 = Polynomial.variable(real["gamma2"].context, "x1")
+        fake = {**real, "gamma2": x1 ** 2}
+        calls = []
+        monkeypatch.setattr(checks, "gamma_generators",
+                            lambda: calls.append(1) or fake)
+        results = {r.name: r for r in checks.run_all().results}
+        assert len(calls) == 1
+        for name in ("gamma-invariance", "gamma-generation"):
+            wit = results[name].witness_dict()
+            assert results[name].verdict == "fail", name
+            assert "counterexample gamma2 under (12)" in wit, name
+            assert "counterexample shift derivative of gamma2" in wit, name
+        assert not any(key.startswith("Molien rank")
+                       for key in results["gamma-generation"].witness_dict())
+
+    def test_shared_mappings_are_read_only(self):
+        run = checks._Run()
+        for mapping in (run.gammas, run.invariance, run.gammas_xy, run.sl3_chern):
+            with pytest.raises(TypeError):
+                mapping["gamma2"] = None
+        assert run.chern("sl3", 2) == run.chern("sl3")[:3]
+
+
 class TestWitnessRoundTrip:
     def test_polynomial_witnesses_parse_back(self):
-        from pgl3chow.checks import chi_torus, theta_torus
+        from pgl3chow.checks import chi_torus, theta_torus, w_chern_torus
         from pgl3chow.poly import INTEGERS, context, parse
         from pgl3chow.repcalc import A3MU3_AB, T_SL3_U
 
@@ -352,7 +434,7 @@ class TestWitnessRoundTrip:
         assert parse(wit["theta on the torus"], T_SL3_U.ctx, INTEGERS) == \
             theta_torus()
         assert parse(wit["chi on the torus"], T_SL3_U.ctx, INTEGERS) == \
-            chi_torus()
+            chi_torus(theta_torus(), *w_chern_torus())
 
         wit = checks.run_check("a3mu3-chern").witness_dict()
         ring = A3MU3_AB.ring
@@ -373,7 +455,7 @@ class TestWitnessRoundTrip:
         c2w, c3w = w_chern_torus()
         for part in ((2 * theta + 3 * c3w) ** 2, 4 * c2w ** 3, 27 * c3w ** 2):
             assert part.is_homogeneous(6)
-        chi = chi_torus()
+        chi = chi_torus(theta, c2w, c3w)
         assert chi.is_homogeneous(6)
 
 

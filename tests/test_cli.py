@@ -212,6 +212,29 @@ class TestHilbert:
                        f"elimination, over the limit of {MAX_DENSE_WIDTH}; "
                        f"lower --max-degree\n")
 
+    def test_relations_above_the_bound_skip_the_elimination(
+            self, capsys, tmp_path, monkeypatch):
+        # a - b - c eliminates a, and substituting it into a^400 - b^400
+        # would expand (b + c)^400; degrees 0..2 never read that relation.
+        cfg = tmp_path / "high.cfg"
+        cfg.write_text("[presentation p]\ngenerators = a:1 b:1 c:1\n"
+                       "relation = a - b - c\nrelation = a^400 - b^400\n")
+        degrees = []
+        real = cli.eliminate_unit_generators
+
+        def spy(pres):
+            ctx = pres.context
+            degrees.extend(ctx.weighted_degree(e)
+                           for rel in pres.relations for e in rel.terms)
+            return real(pres)
+
+        monkeypatch.setattr(cli, "eliminate_unit_generators", spy)
+        code, out, _ = run_cli(capsys, "hilbert", "--spec", str(cfg),
+                               "--max-degree", "2")
+        assert code == 0
+        assert out.splitlines() == ["0: Z", "1: Z ⊕ Z", "2: Z ⊕ Z ⊕ Z"]
+        assert degrees and max(degrees) <= 2
+
     def test_rstar_admitted_at_the_degree_limit(self):
         check_basis_width(rstar_presentation(), MAX_DEGREE)
 
@@ -252,6 +275,34 @@ class TestConfigFile:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown options key"):
             parse_config("[options]\ncolour = green\n")
+
+    def test_duplicates_rejected_with_their_line(self, capsys, tmp_path):
+        # A later section or key never silently replaces an earlier one.
+        cases = (
+            ("[options]\nformat = json\n[options]\nformat = text\n",
+             "line 3: duplicate section [options]"),
+            ("[presentation p]\ngenerators = g:1\n"
+             "[presentation p]\ngenerators = h:1\n",
+             "line 3: duplicate section [presentation p]"),
+            ("[options]\nformat = json\nformat = text\n",
+             "line 3: duplicate options key 'format'"),
+            ("[options]\nmax-degree point-class = 2\n"
+             "max-degree point-class = 3\n",
+             "line 3: duplicate options key 'max-degree point-class'"),
+            ("[presentation p]\ngenerators = g:1\ngenerators = h:1\n",
+             "line 3: duplicate 'generators' in [presentation p]"),
+        )
+        cfg = tmp_path / "twice.cfg"
+        for text, message in cases:
+            with pytest.raises(ConfigError, match=message.replace("[", r"\[")):
+                parse_config(text)
+            cfg.write_text(text)
+            code, out, err = run_cli(capsys, "--config", str(cfg), "list")
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+        # Two differently named presentations are two sections.
+        assert len(parse_config("[presentation p]\ngenerators = g:1\n"
+                                "[presentation q]\ngenerators = h:1\n"
+                                ).presentations) == 2
 
     def test_unknown_section_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "section.cfg"

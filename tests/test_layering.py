@@ -1,4 +1,5 @@
-"""Each elimination is reached through one module.
+"""Each elimination is reached through one module, and each shared input
+of the checks through the per-run store.
 
 The Smith elimination serves the invariant-factor tables alone:
 ``intlinalg.invariant_factors`` is called only by ``presented`` (graded
@@ -8,7 +9,14 @@ inside ``intlinalg``: every other module reaches kernels and solves through
 answers off the certified kernel.  As in ``test_dead_code``, a reference is
 a NAME token of ``src/``, so docstrings and comments do not count, and
 neither does the name being defined.
+
+The checks read the gammas, theta, c(W), chi and the Chern classes of the
+catalogued representations from the ``_Run`` they are given, which forms each
+once per run; a ``_check_*`` function that calls one of their producers
+itself would form it again.
 """
+
+import ast
 
 from test_dead_code import SRC, _references
 
@@ -30,3 +38,26 @@ def test_only_the_table_modules_call_invariant_factors():
 
 def test_only_intlinalg_names_the_hermite_elimination():
     assert _sites(HERMITE_NAMES, {"intlinalg.py"}) == []
+
+
+SHARED_PRODUCERS = {"gamma_generators", "theta_torus", "w_chern_torus", "chi_torus"}
+
+
+def _producer_calls(function):
+    for call in ast.walk(function):
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)):
+            continue
+        name = call.func.id
+        catalogued = name == "chern_classes" and any(
+            isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name)
+            and arg.func.id == "standard" for arg in call.args)
+        if name in SHARED_PRODUCERS or catalogued:
+            yield f"{function.name}:{call.lineno}:{name}"
+
+
+def test_checks_read_shared_inputs_from_the_run():
+    tree = ast.parse((SRC / "checks.py").read_text(encoding="utf-8"))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name.startswith("_check_")]
+    assert len(functions) == 18
+    assert [site for f in functions for site in _producer_calls(f)] == []

@@ -171,6 +171,21 @@ class TestChernClasses:
         assert chern_classes(trivial(T_GL3)) == (
             Polynomial.constant(T_GL3.ctx, 1), Polynomial.zero(T_GL3.ctx))
 
+    def test_truncated_classes_are_the_prefix(self):
+        # Asked for c_0..c_top, chern_classes forms no higher class and gives
+        # the same prefix as the total class, for top beyond the dimension
+        # too; the zero classes of skipped zero weights stay in place.
+        from pgl3chow import repcalc
+        for name, rep in repcalc.REPRESENTATIONS.items():
+            full = chern_classes(rep)
+            for top in range(len(full) + 2):
+                assert chern_classes(rep, top) == full[:top + 1], (name, top)
+        ctx, ring = A3MU3_AB.ctx, A3MU3_AB.ring
+        weights = [((3, 0), 1), ((1, 1), 3)]
+        full = elementary_symmetric(ctx, ring, weights)
+        for top in range(len(full) + 2):
+            assert elementary_symmetric(ctx, ring, weights, top) == full[:top + 1]
+
     def test_elementary_symmetric_edge_cases(self):
         empty = context(())
         one, zero = Polynomial.constant(empty, 1), Polynomial.zero(empty)
