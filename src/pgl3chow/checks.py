@@ -275,12 +275,8 @@ def _invariance_counterexamples(name: str, g: Polynomial,
     """Witnesses of every element of ``group`` that moves ``g`` and of a
     nonzero derivative of ``g`` along ``SHIFT_DIRECTION``; empty when ``g``
     is invariant under both."""
-    wit: Witnesses = []
-    for label in group.labels():
-        moved = group.act(label, g)
-        if moved != g:
-            wit.append((f"counterexample {name} under {label}",
-                        (moved - g).render()))
+    wit: Witnesses = [(f"counterexample {name} under {label}", (moved - g).render())
+                      for label, moved in group.movers(g).items()]
     derivative = g.directional_derivative(SHIFT_DIRECTION)
     if derivative:
         wit.append((f"counterexample shift derivative of {name}",
@@ -374,6 +370,20 @@ def _check_gamma_generation(run: _Run, bound: int) -> tuple[bool, Witnesses]:
       its image.  This needs the gammas in ``S_d``, which is why the
       invariance check comes before the span.
 
+    * The table is built on the products with ``gamma3`` exponent ``b <= 1``
+      when ``gamma3^2`` is an integral polynomial ``P(gamma2, gamma6)``, as
+      :func:`repcalc.express_in` checks on the ``x, y`` images (for the real
+      gammas ``P = 4*gamma2^3 - 27*gamma6``, the ``gamma-syzygy`` identity
+      rearranged).  Those rows span ``L_d``, by induction on ``b``: for
+      ``b >= 2``, ``gamma2^a gamma3^b gamma6^c = gamma2^a gamma3^(b-2)
+      gamma6^c * P`` is an integral combination of products of degree ``d``
+      with ``gamma3`` exponent ``b - 2``.  The row lattice is the same, so
+      its invariant factors, and the verdict and witnesses, are those of the
+      full product span, with ``f_d`` rows instead of all of them.  When
+      ``gamma3^2`` is not integral in ``gamma2, gamma6`` (or one of them is
+      zero, which ``express_in`` does not take), the full span is formed, so
+      the witnesses are the same either way.
+
     A degree where either condition fails is reported with its Molien rank,
     the span rank and the non-unit invariant factors.  Saturation is needed
     beyond the rank count: a span of full rank may still have index > 1.
@@ -383,11 +393,17 @@ def _check_gamma_generation(run: _Run, bound: int) -> tuple[bool, Witnesses]:
         return False, wit
     ranks = _molien_ranks(s3_on_xy(), bound)
     # gamma2^a * gamma3^b * gamma6^c of each degree as sparse rows over
-    # Z[x, y]_d; a gamma not homogeneous of its degree is rejected there.
-    in_xy = [run.gammas_xy[n] for n in ("gamma2", "gamma3", "gamma6")]
-    spans = power_product_rows(in_xy, (2, 3, 6), bound)
+    # Z[x, y]_d, those with b <= 1 first; a gamma not homogeneous of its
+    # degree is rejected there, before express_in reads them.
+    gen_ctx = context(("gamma2", "gamma3", "gamma6"), (2, 3, 6))
+    g2, g3, g6 = in_xy = [run.gammas_xy[n] for n in gen_ctx.names]
+    every = {d: gen_ctx.monomials_of_degree(d) for d in range(bound + 1)}
+    spans = power_product_rows(in_xy, gen_ctx.weights, {
+        d: [e for e in exps if e[1] <= 1] for d, exps in every.items()})
+    if not (g2 and g6 and express_in(g3 ** 2, {"gamma2": g2, "gamma6": g6}).ok):
+        spans = power_product_rows(in_xy, gen_ctx.weights, every)
     summary = []
-    for d, (rank, (width, span)) in enumerate(zip(ranks, spans)):
+    for d, (rank, (width, span)) in enumerate(zip(ranks, spans.values())):
         factors = [f for f in intlinalg.invariant_factors(span, width) if f]
         non_units = [f for f in factors if f != 1]
         if non_units or len(factors) != rank:
@@ -462,11 +478,9 @@ def _check_twistaction_group(run: _Run, max_degree: int | None
             wit.append((f"derived {label}", describe_substitution(group, label)))
     for name, text in _TWO_VARIABLE_EXPECTED.items():
         g = parse(text, T_PGL3_XY.ctx, INTEGERS)
-        for label in group.labels():
-            if group.act(label, g) != g:
-                ok = False
-                wit.append((f"counterexample {name} moved by {label}",
-                            group.act(label, g).render()))
+        for label, moved in group.movers(g).items():
+            ok = False
+            wit.append((f"counterexample {name} moved by {label}", moved.render()))
     return ok, wit
 
 
@@ -514,11 +528,10 @@ def _check_transfer_laws(run: _Run, max_degree: int | None) -> tuple[bool, Witne
     u1, u2, u3 = u_variables()
     sample = u1 ** 2 * u2
     summed = group.orbit_sum(sample)
-    for label in group.labels():
-        if group.act(label, summed) != summed:
-            ok = False
-            wit.append((f"counterexample invariance under {label}",
-                        (group.act(label, summed) - summed).render()))
+    for label, moved in group.movers(summed).items():
+        ok = False
+        wit.append((f"counterexample invariance under {label}",
+                    (moved - summed).render()))
     wit.append(("orbit sum of u1^2*u2", summed.render()))
 
     gammas = run.gammas

@@ -11,8 +11,9 @@ Grammar (line oriented; ``#`` starts a comment, blank lines are ignored)::
     relation = <polynomial text over the generator symbols>
 
 Unknown section kinds and unknown keys are rejected rather than ignored, and
-so is a second ``[options]`` section, a second presentation of one name and a
-repeated key: a later value never silently replaces an earlier one.
+so is a name on ``[options]``, which scopes nothing, a second ``[options]``
+section, a second presentation of one name and a repeated key: a later value
+never silently replaces an earlier one.
 Every degree bound given as input, here or by ``--max-degree``, is checked
 by :func:`check_degree_bound` against the one limit ``MAX_DEGREE``, and
 ``hilbert`` checks each degree's basis width against ``MAX_BASIS_WIDTH`` and
@@ -184,9 +185,11 @@ def parse_config(text: str) -> UserConfig:
             kind, name = match.group(1), match.group(2)
             if kind not in _FINISHERS:
                 raise ConfigError(f"line {lineno}: unknown section kind {kind!r}")
-            # One [options] section, whatever it is called, and one
-            # presentation per name.
-            header = (kind, None if kind == "options" else name)
+            if kind == "options" and name is not None:
+                raise ConfigError(f"line {lineno}: section [options] takes no "
+                                  f"name, got {name!r}")
+            # One [options] section and one presentation per name.
+            header = (kind, name)
             if header in headers:
                 shown = " ".join(filter(None, header))
                 raise ConfigError(f"line {lineno}: duplicate section [{shown}]")

@@ -5,6 +5,17 @@ coordinate vectors, so variable ``i`` is substituted by the linear form read
 off column ``i``.  With that convention ``act(g*h, p) == act(g, act(h, p))``
 when the product ``g*h`` is the ordinary matrix product.
 
+:meth:`MatrixGroup.movers` is the one test of which elements move a
+polynomial.  It acts with a generating set first: the elements picked
+greedily in element order, each one that is not yet a product of those
+before it, kept with the group.  The set is certified once per group: the
+closure of the picked matrices under matrix product, the identity included,
+must be exactly the element set.  A ring map then fixes ``p`` under every
+element as soon as it fixes it under each generator, so for S3 two
+substitutions stand in for six.  When a generator moves ``p``, or the
+certificate fails (the element list is not closed), every element acts, and
+the movers are read off all of them.
+
 Orbit sums model the composite of a transfer with the restriction back to the
 subring: ``orbit_sum(G, p) = sum(act(g, p) for g in G)``, which is fixed by
 every element and multiplies invariants by the group order.
@@ -69,6 +80,44 @@ class MatrixGroup:
         first use and kept with the group."""
         return tuple(RingMap.from_matrix(self.ctx, self.ctx, matrix)
                      for _, matrix in self.elements)
+
+    @functools.cached_property
+    def _generators(self) -> tuple[int, ...] | None:
+        """Positions of the greedy generating set in element order, or None
+        when the closure of those matrices under matrix product, from the
+        identity, is not exactly the element set."""
+        allowed = {m for _, m in self.elements}
+        closure = {_freeze(intlinalg.identity(self.ctx.arity))}
+        picked: list[int] = []
+        for i, (_, m) in enumerate(self.elements):
+            if m in closure:
+                continue
+            picked.append(i)
+            frontier = list(closure)
+            while frontier:
+                a = frontier.pop()
+                for j in picked:
+                    prod = _freeze(intlinalg.matmul(a, self.elements[j][1]))
+                    if prod not in closure:
+                        if prod not in allowed:
+                            return None
+                        closure.add(prod)
+                        frontier.append(prod)
+        return tuple(picked) if closure == allowed else None
+
+    def movers(self, p: Polynomial) -> dict[str, Polynomial]:
+        """The elements that move ``p``, in element order, each with its
+        image of ``p``; empty when every element fixes ``p``.  Only the
+        certified generators act unless one of them moves ``p``."""
+        if p.context != self.ctx:
+            raise ContextMismatchError("polynomial not over the group's context")
+        maps = self._ring_maps
+        if self._generators is not None and all(
+                maps[i].apply(p) == p for i in self._generators):
+            return {}
+        moved = ((label, ring_map.apply(p))
+                 for label, ring_map in zip(self.labels(), maps))
+        return {label: image for label, image in moved if image != p}
 
     def act(self, label: str, p: Polynomial) -> Polynomial:
         if p.context != self.ctx:

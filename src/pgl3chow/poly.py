@@ -33,9 +33,10 @@ exponent ``e`` adds ``e*pack(a)`` to the key and multiplies the
 coefficient by ``c^e``.  :func:`power_product_rows` is the one producer of
 generator monomials (the gamma span of ``gamma-generation`` and the rows of
 ``repcalc.express_in``): it rejects a factor that is not homogeneous of its
-weight, forms the monomials degree by degree on packed keys and never
-unpacks, reading each product as a sparse row through a packed index of the
-degree's basis.  :meth:`RingMap.from_matrix` is the one reading of a matrix
+weight, forms only the monomials asked for, each from the one a step lower,
+on packed keys and never unpacks, and reads each product as a sparse row
+through a packed index of its degree's basis, for the degrees asked for
+alone.  :meth:`RingMap.from_matrix` is the one reading of a matrix
 as a linear substitution, variable ``j`` to the form in column ``j``.
 A single ``*`` stays tuple-based on purpose: it would pack and unpack for
 only one convolution, and packing every ``*`` made a pass over the 16 light
@@ -512,23 +513,28 @@ def elementary_symmetric(ctx: VariableContext, ring: CoefficientRing,
 
 
 def power_product_rows(factors: Sequence[Polynomial], weights: Sequence[int],
-                       bound: int) -> list[tuple[int, list[dict[int, int]]]]:
-    """The products ``prod_i factors[i]^a_i`` of each weighted degree
-    ``d = 0..bound``, ``factors[i]`` weighing ``weights[i]`` and the
-    exponent vectors ``a`` in graded-lex order, as sparse ``{column:
-    coefficient}`` rows over the degree-d monomial basis of the factors'
-    context; one ``(width of the basis, rows)`` pair per degree.
+                       wanted: Mapping[int, Sequence[Exponent]]
+                       ) -> dict[int, tuple[int, list[dict[int, int]]]]:
+    """The products ``prod_i factors[i]^a_i`` for the exponent vectors ``a``
+    that ``wanted`` lists under their weighted degree ``d``, ``factors[i]``
+    weighing ``weights[i]``, as sparse ``{column: coefficient}`` rows over
+    the degree-d monomial basis of the factors' context, in the order
+    asked; one ``(width of the basis, rows)`` pair per degree of
+    ``wanted``.
 
     This is the one place generator monomials are formed, for the gamma
-    span of ``gamma-generation`` and for ``repcalc.express_in``.  Each
-    product is formed once, as a product of lower degree times a single
-    factor (the first with a nonzero exponent), on packed keys throughout.
-    Each factor must be homogeneous of its weight in the context's grading,
-    or :class:`NotHomogeneousError` is raised; the zero polynomial is, and
-    its products are empty rows.  So every product and basis monomial of
-    degree ``d`` is homogeneous of degree ``d``, and as no variable weighs
-    less than 1, none has an exponent beyond ``bound``.  A factor heavier
-    than ``bound`` takes part in no product and is not packed.
+    span of ``gamma-generation`` and for ``repcalc.express_in``.  A product
+    is formed on demand, once, as the product one step lower (one less of
+    the first factor with a nonzero exponent) times that factor, on packed
+    keys throughout; so no product is formed that neither ``wanted`` nor a
+    chain down to the empty product needs, and no basis is indexed for a
+    degree not asked for.  Each factor must be homogeneous of its weight in
+    the context's grading, or :class:`NotHomogeneousError` is raised, also
+    when ``wanted`` is empty; the zero polynomial is, and its products are
+    empty rows.  So every product and basis monomial of degree ``d`` is
+    homogeneous of degree ``d``, and as no variable weighs less than 1, none
+    has an exponent beyond the largest degree asked for.  A factor heavier
+    than that takes part in no product and is not packed.
     """
     ctx, ring = factors[0].context, factors[0].ring
     weights = tuple(weights)
@@ -536,23 +542,29 @@ def power_product_rows(factors: Sequence[Polynomial], weights: Sequence[int],
         f._check_compatible(factors[0])
         if not f.is_homogeneous(w):
             raise NotHomogeneousError(f"not homogeneous of degree {w}: {f.render()}")
-    pack, _ = packing(ctx.arity, bound)
+    top = max(wanted, default=0)
+    pack, _ = packing(ctx.arity, top)
     m = ring.modulus
-    packed = [{pack(e): c for e, c in f.terms.items()} if w <= bound else None
+    packed = [{pack(e): c for e, c in f.terms.items()} if w <= top else None
               for f, w in zip(factors, weights)]
     products = {(0,) * len(factors): {0: 1}}
-    out = []
-    for d in range(bound + 1):
+
+    def product(exp: Exponent) -> dict[int, int]:
+        chain = []
+        while exp not in products:
+            i = next(i for i, e in enumerate(exp) if e)
+            chain.append((exp, i))
+            exp = exp[:i] + (exp[i] - 1,) + exp[i + 1:]
+        terms = products[exp]
+        for exp, i in reversed(chain):
+            terms = products[exp] = _trim(_convolve(terms, packed[i]), m)
+        return terms
+
+    out = {}
+    for d, exponents in wanted.items():
         index = {pack(e): j for j, e in enumerate(ctx.monomials_of_degree(d))}
-        rows = []
-        for exp in _monomials_of_degree(weights, d):
-            terms = products.get(exp)
-            if terms is None:
-                i = next(i for i, e in enumerate(exp) if e)
-                lower = exp[:i] + (exp[i] - 1,) + exp[i + 1:]
-                terms = products[exp] = _trim(_convolve(products[lower], packed[i]), m)
-            rows.append({index[k]: c for k, c in terms.items()})
-        out.append((len(index), rows))
+        out[d] = len(index), [{index[k]: c for k, c in product(exp).items()}
+                              for exp in exponents]
     return out
 
 

@@ -22,6 +22,7 @@ from .poly import (
     INTEGERS,
     CoefficientRing,
     ContextMismatchError,
+    NotHomogeneousError,
     Polynomial,
     RingMap,
     RingMismatchError,
@@ -221,10 +222,11 @@ def express_in(target: Polynomial, gens: Mapping[str, Polynomial]) -> ExpressRes
     """Write a homogeneous polynomial as an integer polynomial in generators.
 
     Solves degree-wise over Z.  The rows are the generator monomials of the
-    target's degree from :func:`poly.power_product_rows`, and the target's
-    coordinates are read off the same degree's monomial basis.  Every
-    generator must be a nonzero homogeneous polynomial over the target's
-    context and ring.  One call to :func:`intlinalg.solve_left_rational`
+    target's degree from :func:`poly.power_product_rows`, which forms that
+    degree alone and makes the one test of the generators' homogeneity, and
+    the target's coordinates are read off the same degree's monomial basis.
+    Every generator must be a nonzero homogeneous polynomial over the
+    target's context and ring.  One call to :func:`intlinalg.solve_left_rational`
     gives the canonical coordinate vector: when several expressions exist,
     its entries at the pivots of the syzygy lattice's Hermite form, in
     graded-lex coordinate order, are reduced, so the result is deterministic.
@@ -233,31 +235,40 @@ def express_in(target: Polynomial, gens: Mapping[str, Polynomial]) -> ExpressRes
     """
     names = list(gens)
     polys = [gens[n] for n in names]
-    degrees = []
     for name, g in zip(names, polys):
-        # One pass over the terms gives both the degree and homogeneity.
-        term_degrees = set(map(g.context.weighted_degree, g.terms))
-        if len(term_degrees) != 1:
+        if not g:
             raise ExpressError(f"generator {name} is not homogeneous and nonzero")
         if g.context != target.context:
             raise ContextMismatchError(
                 f"contexts differ: {target.context.names} vs {g.context.names}")
         if g.ring != target.ring:
             raise RingMismatchError(f"rings differ: {target.ring} vs {g.ring}")
-        degrees.extend(term_degrees)
-    target_degrees = set(map(target.context.weighted_degree, target.terms))
+    # A generator's degree is read off one term; power_product_rows tests
+    # every term against it, the one homogeneity pass.
+    degrees = [g.context.weighted_degree(next(iter(g.terms))) for g in polys]
     gen_ctx = context(names, degrees)
+    target_degrees = set(map(target.context.weighted_degree, target.terms))
+    wanted = ({d: gen_ctx.monomials_of_degree(d) for d in target_degrees}
+              if len(target_degrees) == 1 else {})
+    if polys:
+        try:
+            spans = power_product_rows(polys, degrees, wanted)
+        except NotHomogeneousError:
+            name = next(n for n, g, w in zip(names, polys, degrees)
+                        if not g.is_homogeneous(w))
+            raise ExpressError(
+                f"generator {name} is not homogeneous and nonzero") from None
     if not target_degrees:
         return ExpressResult(True, Polynomial.zero(gen_ctx, target.ring), None)
     if len(target_degrees) != 1:
         raise ExpressError("target is not homogeneous")
     (d_target,) = target_degrees
 
-    monomials = gen_ctx.monomials_of_degree(d_target)
+    monomials = wanted[d_target]
     basis = target.context.monomials_of_degree(d_target)
     t_vec = [target.terms.get(e, 0) for e in basis]
     if polys:
-        _, sparse = power_product_rows(polys, degrees, d_target)[d_target]
+        _, sparse = spans[d_target]
     else:  # the empty product 1 is the one monomial in no generators
         sparse = [{0: 1}] if d_target == 0 else []
     rows = [[row.get(j, 0) for j in range(len(basis))] for row in sparse]

@@ -7,7 +7,13 @@ from pgl3chow import checks, presented
 from pgl3chow.config import MAX_DEGREE, ConfigError
 from pgl3chow.groups import MatrixGroup, alternating_subgroup
 from pgl3chow.intlinalg import invariant_factors
-from pgl3chow.poly import NotHomogeneousError, Polynomial, context, power_product_rows
+from pgl3chow.poly import (
+    NotHomogeneousError,
+    Polynomial,
+    RingMap,
+    context,
+    power_product_rows,
+)
 from pgl3chow.repcalc import TO_XY, restrict_poly
 
 EXPECTED_NAMES = [
@@ -226,8 +232,11 @@ def polynomial_gamma_span_vectors(gammas, bound):
 
 
 def gamma_span_rows(gammas, bound):
-    return power_product_rows(
-        [gammas[n] for n in ("gamma2", "gamma3", "gamma6")], (2, 3, 6), bound)
+    """Every gamma product of each degree 0..bound: the full span."""
+    gen_ctx = context(("g2", "g3", "g6"), (2, 3, 6))
+    return list(power_product_rows(
+        [gammas[n] for n in ("gamma2", "gamma3", "gamma6")], gen_ctx.weights,
+        {d: gen_ctx.monomials_of_degree(d) for d in range(bound + 1)}).values())
 
 
 class TestGammaCertificate:
@@ -340,6 +349,92 @@ class TestGammaCertificate:
         assert not any(key.startswith("counterexample gamma2 under")
                        for key in wit)
         assert not any(key.startswith("counterexample at degree") for key in wit)
+
+
+def nonzero_factors(width, rows):
+    return [f for f in invariant_factors(rows, width) if f]
+
+
+class TestGammaGenerationWork:
+    """What ``gamma-generation`` forms: its S3 substitutions, and a table on
+    the gamma products with ``gamma3`` exponent at most 1 when ``gamma3^2``
+    is integral in ``gamma2, gamma6``, else on the full span, which stays the
+    oracle here."""
+
+    BOUND = 24
+
+    @staticmethod
+    def variants():
+        """(planted change, gammas, whether gamma3^2 is integral in gamma2,
+        gamma6 on the x, y images)."""
+        real = checks.gamma_generators()
+        return (
+            ("none", real, True),
+            ("gamma3 -> 2*gamma3", {**real, "gamma3": 2 * real["gamma3"]}, True),
+            ("gamma6 -> 3*gamma6", {**real, "gamma6": 3 * real["gamma6"]}, True),
+            ("gamma6 -> 2*gamma6", {**real, "gamma6": 2 * real["gamma6"]}, False),
+            ("gamma2 -> 2*gamma2", {**real, "gamma2": 2 * real["gamma2"]}, False),
+            ("gamma6 -> gamma2^3", {**real, "gamma6": real["gamma2"] ** 3}, False),
+        )
+
+    def test_s3_substitutions(self, monkeypatch):
+        # Two generators of S3 per gamma, where acting with all six elements
+        # made 18.
+        maps = {id(m) for m in checks.s3_on_x()._ring_maps}
+        calls = []
+        real_apply = RingMap.apply
+
+        def spy(self, p):
+            calls.append(id(self) in maps)
+            return real_apply(self, p)
+        monkeypatch.setattr(RingMap, "apply", spy)
+        assert checks.run_check("gamma-generation", 16).verdict == "pass"
+        assert sum(calls) == 6
+
+    def test_table_on_f_d_rows_or_the_full_span(self, monkeypatch):
+        gen_ctx = context(("gamma2", "gamma3", "gamma6"), (2, 3, 6))
+        asked = []  # per power_product_rows call of the check: (wanted, rows)
+        real_rows = checks.power_product_rows
+
+        def spy(factors, weights, wanted):
+            out = real_rows(factors, weights, wanted)
+            asked.append((wanted, out))
+            return out
+        monkeypatch.setattr(checks, "power_product_rows", spy)
+        ranks = checks._molien_ranks(checks.s3_on_xy(), self.BOUND)
+        for planted, gammas, integral in self.variants():
+            in_xy = {name: restrict_poly(g, TO_XY) for name, g in gammas.items()}
+            oracle = [nonzero_factors(width, rows)
+                      for width, rows in gamma_span_rows(in_xy, self.BOUND)]
+            monkeypatch.setattr(checks, "gamma_generators", lambda g=gammas: g)
+            for bound in range(self.BOUND + 1):
+                asked.clear()
+                result = checks.run_check("gamma-generation", bound)
+                assert result.verdict in ("pass", "fail"), planted
+                f_d_rows = {d: [e for e in gen_ctx.monomials_of_degree(d) if e[1] <= 1]
+                            for d in range(bound + 1)}
+                if integral:
+                    assert [wanted for wanted, _ in asked] == [f_d_rows], planted
+                else:
+                    every = {d: gen_ctx.monomials_of_degree(d)
+                             for d in range(bound + 1)}
+                    assert [wanted for wanted, _ in asked] == [f_d_rows, every], \
+                        planted
+                table = asked[-1][1]
+                for d, (width, rows) in table.items():
+                    assert nonzero_factors(width, rows) == oracle[d], (planted, d)
+                    if planted == "none":
+                        # The f_d rows number exactly the Molien rank.
+                        assert len(rows) == ranks[d], d
+
+    def test_planted_f_d_path_verdicts(self, monkeypatch):
+        # With gamma3^2 still integral in gamma2, gamma6, the f_d table finds
+        # the same index as the full span: 2 in degree 3, and 3 in degree 6.
+        for planted, gammas, _ in self.variants()[1:3]:
+            monkeypatch.setattr(checks, "gamma_generators", lambda g=gammas: g)
+            wit = checks.run_check("gamma-generation", 8).witness_dict()
+            degree, factor = (3, "2") if "gamma3" in planted else (6, "3")
+            assert wit[f"non-unit factors at degree {degree}"] == factor, planted
 
 
 class TestSharedRun:

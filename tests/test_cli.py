@@ -276,6 +276,18 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="unknown options key"):
             parse_config("[options]\ncolour = green\n")
 
+    def test_named_options_section_rejected(self, capsys, tmp_path):
+        # A name would suggest that the keys are scoped to something.
+        text = "[presentation p]\ngenerators = g:1\n[options extra]\nformat = json\n"
+        message = "line 3: section [options] takes no name, got 'extra'"
+        with pytest.raises(ConfigError, match=message.replace("[", r"\[")):
+            parse_config(text)
+        cfg = tmp_path / "named.cfg"
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "--config", str(cfg), "check",
+                                 "--name", "point-class")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_duplicates_rejected_with_their_line(self, capsys, tmp_path):
         # A later section or key never silently replaces an earlier one.
         cases = (

@@ -18,7 +18,14 @@ from pgl3chow.checks import (
     u_variables,
 )
 from pgl3chow.groups import MatrixGroup, literally_shift_invariant
-from pgl3chow.poly import INTEGERS, ContextMismatchError, Polynomial, context, parse
+from pgl3chow.poly import (
+    INTEGERS,
+    ContextMismatchError,
+    Polynomial,
+    RingMap,
+    context,
+    parse,
+)
 from pgl3chow.repcalc import T_PGL3_XY
 
 
@@ -122,6 +129,74 @@ class TestElementMaps:
                              capture_output=True, text=True,
                              env={"PYTHONPATH": str(src)}).stdout
         assert out.strip() == "0"
+
+
+def count_substitutions(monkeypatch):
+    """A list that grows by one entry, the ring map, per ``RingMap.apply``."""
+    calls = []
+    real = RingMap.apply
+
+    def spy(self, p):
+        calls.append(self)
+        return real(self, p)
+    monkeypatch.setattr(RingMap, "apply", spy)
+    return calls
+
+
+class TestMovers:
+    def test_weyl_groups_have_certified_generators(self):
+        # Picked greedily in element order: the identity is a product of
+        # none, (13) is not a power of (12), and the rest follow.
+        for build, generators in ((s3_on_x, ("(12)", "(13)")),
+                                  (s3_on_xy, ("(12)", "(13)")),
+                                  (s3_on_u, ("(12)", "(13)")),
+                                  (a3_on_u, ("(123)",))):
+            group = build()
+            assert tuple(group.labels()[i] for i in group._generators) == \
+                generators
+
+    def test_invariant_is_tested_by_the_generators_alone(self, monkeypatch):
+        group = s3_on_x()
+        gamma6 = gamma_generators()["gamma6"]
+        group._generators  # certified before counting
+        calls = count_substitutions(monkeypatch)
+        assert group.movers(gamma6) == {}
+        assert calls == [group._ring_maps[1], group._ring_maps[2]]
+
+    def test_a_moved_polynomial_is_acted_on_by_every_element(self, monkeypatch):
+        group = s3_on_x()
+        x1 = Polynomial.variable(group.ctx, "x1")
+        group._generators
+        calls = count_substitutions(monkeypatch)
+        movers = group.movers(x1)
+        assert list(movers) == ["(12)", "(13)", "(123)", "(132)"]
+        assert movers["(13)"] == Polynomial.variable(group.ctx, "x3")
+        # The first generator moves x1, so every element acts.
+        assert calls[1:] == list(group._ring_maps)
+
+    def test_an_element_list_that_is_not_closed_acts_with_every_element(
+            self, monkeypatch):
+        full = s3_on_x()
+        for labels in (("e", "(123)"), ("(12)",), ("(12)", "(13)")):
+            group = MatrixGroup(full.ctx, tuple(
+                (label, full.matrix(label)) for label in labels))
+            assert group._generators is None, labels
+            calls = count_substitutions(monkeypatch)
+            assert group.movers(gamma_generators()["gamma2"]) == {}
+            assert calls == list(group._ring_maps), labels
+            monkeypatch.undo()
+        # A shear has infinite order: its closure leaves the element set at
+        # the first product, and the search stops there.
+        ctx = context(("x", "y"))
+        shear = MatrixGroup(ctx, (("e", ((1, 0), (0, 1))), ("s", ((1, 1), (0, 1)))))
+        assert shear._generators is None
+        y = Polynomial.variable(ctx, "y")
+        assert list(shear.movers(y)) == [label for label in shear.labels()
+                                         if shear.act(label, y) != y]
+
+    def test_foreign_polynomial_rejected(self):
+        with pytest.raises(ContextMismatchError):
+            s3_on_xy().movers(Polynomial.variable(s3_on_x().ctx, "x1"))
 
 
 class TestOrbitSum:

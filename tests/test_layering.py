@@ -14,6 +14,10 @@ The checks read the gammas, theta, c(W), chi and the Chern classes of the
 catalogued representations from the ``_Run`` they are given, which forms each
 once per run; a ``_check_*`` function that calls one of their producers
 itself would form it again.
+
+Which elements of a group move a polynomial is asked through
+``MatrixGroup.movers``, which acts with certified generators first; a loop
+over ``labels()`` that calls ``act`` would act with every element again.
 """
 
 import ast
@@ -61,3 +65,30 @@ def test_checks_read_shared_inputs_from_the_run():
                  and node.name.startswith("_check_")]
     assert len(functions) == 18
     assert [site for f in functions for site in _producer_calls(f)] == []
+
+
+LOOPS = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _is_method_call(node, name):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == name)
+
+
+def _label_loops_that_act(tree):
+    """``name:line`` of each loop over ``X.labels()`` whose body calls
+    ``Y.act``, named by the top-level definition it is in."""
+    for top in tree.body:
+        for loop in ast.walk(top):
+            if not isinstance(loop, LOOPS):
+                continue
+            iters = ([loop.iter] if isinstance(loop, ast.For)
+                     else [g.iter for g in loop.generators])
+            if (any(_is_method_call(i, "labels") for i in iters)
+                    and any(_is_method_call(n, "act") for n in ast.walk(loop))):
+                yield f"{top.name}:{loop.lineno}"
+
+
+def test_checks_ask_movers_not_each_element():
+    tree = ast.parse((SRC / "checks.py").read_text(encoding="utf-8"))
+    assert list(_label_loops_that_act(tree)) == []

@@ -6,7 +6,8 @@ loops they replaced, each over at least 200 instances."""
 from hypothesis import given, settings, strategies as st
 
 from pgl3chow import intlinalg as la
-from pgl3chow.checks import s3_on_u, s3_on_x
+from pgl3chow.checks import a3_on_u, s3_on_u, s3_on_x, s3_on_xy
+from pgl3chow.groups import alternating_subgroup
 from pgl3chow.poly import INTEGERS, Polynomial, RingMap, context, integers_mod, parse
 from pgl3chow.presented import (
     RingPresentation,
@@ -157,6 +158,27 @@ class TestGroupActionLaws:
         prod = _label_of_product(group, la_, lb)
         composed = group.act(la_, group.act(lb, p))
         assert group.act(prod, p) == composed
+
+
+class TestMoversLaw:
+    @LAW_SETTINGS
+    @given(st.sampled_from((s3_on_x, s3_on_xy, s3_on_u, a3_on_u)),
+           st.sampled_from(("as drawn", "group orbit sum", "A3 orbit sum")),
+           st.data())
+    def test_movers_are_the_elements_that_move(self, build, kind, data):
+        # Orbit sums are fixed by every element, or by the rotations alone,
+        # so the generators' shortcut and the fallback to every element are
+        # both taken.
+        group = build()
+        p = data.draw(polynomials(group.ctx, max_exp=2, max_terms=3))
+        if kind == "group orbit sum":
+            p = group.orbit_sum(p)
+        elif kind == "A3 orbit sum":
+            p = alternating_subgroup(group).orbit_sum(p)
+        movers = group.movers(p)
+        expected = [l for l in group.labels() if group.act(l, p) != p]
+        assert list(movers) == expected
+        assert all(movers[l] == group.act(l, p) for l in expected)
 
 
 class TestChernLaws:
