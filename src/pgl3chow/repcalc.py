@@ -226,10 +226,11 @@ def express_in(target: Polynomial, gens: Mapping[str, Polynomial]) -> ExpressRes
     degree alone and makes the one test of the generators' homogeneity, and
     the target's coordinates are read off the same degree's monomial basis.
     Every generator must be a nonzero homogeneous polynomial over the
-    target's context and ring.  One call to :func:`intlinalg.solve_left_rational`
-    gives the canonical coordinate vector: when several expressions exist,
-    its entries at the pivots of the syzygy lattice's Hermite form, in
-    graded-lex coordinate order, are reduced, so the result is deterministic.
+    target's context and ring.  One call to
+    :func:`intlinalg.solve_left_rational` gives the canonical coordinate
+    vector: when several expressions exist, its entries at the pivots of the
+    syzygy lattice's Hermite form, in graded-lex coordinate order, are
+    reduced, so the result is deterministic.
     When only a rational combination exists it is reported in
     ``rational_expression`` and ``ok`` is False.
     """

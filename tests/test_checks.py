@@ -7,14 +7,9 @@ from pgl3chow import checks, presented
 from pgl3chow.config import MAX_DEGREE, ConfigError
 from pgl3chow.groups import MatrixGroup, alternating_subgroup
 from pgl3chow.intlinalg import invariant_factors
-from pgl3chow.poly import (
-    NotHomogeneousError,
-    Polynomial,
-    RingMap,
-    context,
-    power_product_rows,
-)
+from pgl3chow.poly import NotHomogeneousError, Polynomial, context, power_product_rows
 from pgl3chow.repcalc import TO_XY, restrict_poly
+from test_groups import count_substitutions
 
 EXPECTED_NAMES = [
     "gamma-invariance",
@@ -381,15 +376,9 @@ class TestGammaGenerationWork:
         # Two generators of S3 per gamma, where acting with all six elements
         # made 18.
         maps = {id(m) for m in checks.s3_on_x()._ring_maps}
-        calls = []
-        real_apply = RingMap.apply
-
-        def spy(self, p):
-            calls.append(id(self) in maps)
-            return real_apply(self, p)
-        monkeypatch.setattr(RingMap, "apply", spy)
+        calls = count_substitutions(monkeypatch)
         assert checks.run_check("gamma-generation", 16).verdict == "pass"
-        assert sum(calls) == 6
+        assert sum(id(m) in maps for m in calls) == 6
 
     def test_table_on_f_d_rows_or_the_full_span(self, monkeypatch):
         gen_ctx = context(("gamma2", "gamma3", "gamma6"), (2, 3, 6))
