@@ -111,8 +111,7 @@ class Report:
 
     @property
     def all_passed(self) -> bool:
-        counts = self.counts
-        return counts["fail"] == 0 and counts["error"] == 0
+        return all(r.verdict == "pass" for r in self.results)
 
 
 # ---- shared torus data -------------------------------------------------------
@@ -265,6 +264,27 @@ class _Run:
     @functools.cached_property
     def chi(self) -> Polynomial:
         return chi_torus(self.theta, *self.w_chern)
+
+
+def _compare(wit: Witnesses, label: str, name: str, computed: Polynomial,
+             expected: Polynomial) -> bool:
+    """Append ``label: computed`` and, when it is not ``expected``, the
+    ``counterexample NAME: expected ...`` witness; true when they agree."""
+    wit.append((label, computed.render()))
+    if computed != expected:
+        wit.append((f"counterexample {name}", f"expected {expected.render()}"))
+    return computed == expected
+
+
+def _express(wit: Witnesses, name: str, target: Polynomial,
+             gens: Mapping[str, Polynomial]) -> Polynomial | None:
+    """``express_in(target, gens)``'s integral expression, or None after the
+    ``counterexample NAME: no integral expression; rational: ...`` witness."""
+    result = express_in(target, gens)
+    if not result.ok:
+        wit.append((f"counterexample {name}", "no integral expression; "
+                    f"rational: {result.rational_expression}"))
+    return result.expression
 
 
 # ---- individual checks ---------------------------------------------------------
@@ -444,11 +464,7 @@ def _check_two_variable_gammas(run: _Run, max_degree: int | None
     wit: Witnesses = []
     for name, image in run.gammas_xy.items():
         expected = parse(_TWO_VARIABLE_EXPECTED[name], T_PGL3_XY.ctx, INTEGERS)
-        wit.append((f"{name} in x,y", image.render()))
-        if image != expected:
-            ok = False
-            wit.append((f"counterexample {name}",
-                        f"expected {expected.render()}"))
+        ok = _compare(wit, f"{name} in x,y", name, image, expected) and ok
     return ok, wit
 
 
@@ -463,22 +479,20 @@ def _check_twistaction_group(run: _Run, max_degree: int | None
     group = s3_on_xy()
     ok = True
     wit: Witnesses = []
-    report = group.closure_check()
-    wit.append(("closure", f"ok={report.ok} order={report.order}"))
-    if not report.ok or report.order != 6:
+    violations = group.closure_check()
+    wit.append(("closure", f"ok={not violations} order={len(group)}"))
+    if violations or len(group) != 6:
         ok = False
-        wit.append(("counterexample closure", "; ".join(report.violations) or
-                    f"order {report.order} != 6"))
+        wit.append(("counterexample closure",
+                    "; ".join(violations) or f"order {len(group)} != 6"))
     for label, expected in _TWISTACTION_XY.items():
-        if group.matrix(label) != expected:
-            ok = False
-            wit.append((f"counterexample derived action {label}",
-                        describe_substitution(group, label)))
-        else:
-            wit.append((f"derived {label}", describe_substitution(group, label)))
+        derived = group.matrix(label) == expected
+        ok = ok and derived
+        wit.append((f"derived {label}" if derived else
+                    f"counterexample derived action {label}",
+                    describe_substitution(group, label)))
     for name, text in _TWO_VARIABLE_EXPECTED.items():
-        g = parse(text, T_PGL3_XY.ctx, INTEGERS)
-        for label, moved in group.movers(g).items():
+        for label, moved in group.movers(parse(text, T_PGL3_XY.ctx, INTEGERS)).items():
             ok = False
             wit.append((f"counterexample {name} moved by {label}", moved.render()))
     return ok, wit
@@ -500,16 +514,14 @@ def _check_hsurj_restrictions(run: _Run, max_degree: int | None
     ok = True
     wit: Witnesses = []
     for key in ("c2_sl3", "c2_sym3", "c3_sym3", "c6_sl3"):
-        result = express_in(data[key], gammas)
-        if not result.ok:
+        expression = _express(wit, key, data[key], gammas)
+        if expression is None:
             ok = False
-            wit.append((f"counterexample {key}",
-                        f"no integral expression; rational: {result.rational_expression}"))
             continue
-        computed = result.expression.render()
+        computed = expression.render()
         wit.append((f"{key} in gammas", computed))
         expected = parse(_HSURJ_PUBLISHED[key], gen_ctx, INTEGERS)
-        if result.expression != expected:
+        if expression != expected:
             ok = False
             wit.append((f"counterexample {key}",
                         f"computed {computed}, published {expected.render()}"))
@@ -604,9 +616,7 @@ def _check_delta_discriminant(run: _Run, max_degree: int | None
 
 def _check_point_class(run: _Run, max_degree: int | None) -> tuple[bool, Witnesses]:
     ctx = context(("l", "u1", "u2"))
-    l = Polynomial.variable(ctx, "l")
-    u1 = Polynomial.variable(ctx, "u1")
-    u2 = Polynomial.variable(ctx, "u2")
+    l, u1, u2 = (Polynomial.variable(ctx, n) for n in ctx.names)
     u3 = -u1 - u2
     product = (l - u2) * (l - u3)
     expected = l ** 2 + l * u1 + u2 * u3
@@ -639,11 +649,7 @@ def _check_a3mu3_chern(run: _Run, max_degree: int | None) -> tuple[bool, Witness
     ok = True
     wit: Witnesses = []
     for name, computed, expected in cases:
-        wit.append((name, computed.render()))
-        if computed != expected:
-            ok = False
-            wit.append((f"counterexample {name}",
-                        f"expected {expected.render()}"))
+        ok = _compare(wit, name, name, computed, expected) and ok
     return ok, wit
 
 
@@ -665,22 +671,16 @@ def _check_rho_squared(run: _Run, max_degree: int | None) -> tuple[bool, Witness
 def _check_alphabeta_nonmembership(run: _Run, max_degree: int | None
                                    ) -> tuple[bool, Witnesses]:
     ctx = A3MU3_AB.ctx
-    ring = A3MU3_AB.ring
     a, b = _a3mu3_variables()
     multiplier = -(a ** 2)
-    degree2 = ctx.monomials_of_degree(2)
-    image_vectors = []
-    for exp in degree2:
-        image = Polynomial(ctx, ring, {exp: 1}) * multiplier
-        image_vectors.append([int(c) for c in image.coefficient_vector(4)[1]])
-    target_poly = a * b ** 3
-    basis, target = target_poly.coefficient_vector(4)
-    result = intlinalg.membership([int(c) for c in target], image_vectors, modulus=3)
+    images = [Polynomial(ctx, A3MU3_AB.ring, {exp: 1}) * multiplier
+              for exp in ctx.monomials_of_degree(2)]
+    basis, target = (a * b ** 3).coefficient_vector(4)
+    result = intlinalg.membership(
+        target, [image.coefficient_vector(4)[1] for image in images], modulus=3)
     wit: Witnesses = [
         ("degree-4 basis", ", ".join(ctx.render_monomial(e) for e in basis)),
-        ("image generators",
-         "; ".join((Polynomial(ctx, ring, {e: 1}) * multiplier).render()
-                   for e in degree2)),
+        ("image generators", "; ".join(image.render() for image in images)),
         ("a*b^3 in image", str(result.member)),
     ]
     if result.member:
@@ -705,17 +705,11 @@ def _check_sl3_restriction(run: _Run, max_degree: int | None
     ok = True
     wit: Witnesses = []
     for key, expected_text in _SL3_EXPECTED.items():
-        restricted = restrict_poly(data[key], TO_SL3)
-        result = express_in(restricted, gens)
-        if not result.ok:
+        expression = _express(wit, key, restrict_poly(data[key], TO_SL3), gens)
+        if expression is None or not _compare(
+                wit, f"{key} restricted", key, expression,
+                parse(expected_text, gen_ctx, INTEGERS)):
             ok = False
-            wit.append((f"counterexample {key}",
-                        f"no integral expression; rational: {result.rational_expression}"))
-            continue
-        wit.append((f"{key} restricted", result.expression.render()))
-        if result.expression != parse(expected_text, gen_ctx, INTEGERS):
-            ok = False
-            wit.append((f"counterexample {key}", f"expected {expected_text}"))
 
     lam_printed = 2 * data["c2_sl3"] - data["c2_sym3"]
     lam_image = express_in(restrict_poly(lam_printed, TO_SL3), gens)
@@ -766,13 +760,9 @@ def _check_repring_generators(run: _Run, bound: int) -> tuple[bool, Witnesses]:
     duals = [x[1] * x[2], x[0] * x[2], x[0] * x[1]]
 
     def h3(vals: Sequence[Polynomial]) -> Polynomial:
-        total = Polynomial.zero(ctx)
-        for combo in itertools.combinations_with_replacement(range(3), 3):
-            term = one
-            for i in combo:
-                term = term * vals[i]
-            total = total + term
-        return total
+        return sum((u * v * w for u, v, w in
+                    itertools.combinations_with_replacement(vals, 3)),
+                   Polynomial.zero(ctx))
 
     cases = [
         ("sl3 character", s1 * (duals[0] + duals[1] + duals[2]) - one,
@@ -789,22 +779,12 @@ def _check_repring_generators(run: _Run, bound: int) -> tuple[bool, Witnesses]:
             ok = False
             wit.append((f"counterexample {name}", delta.render()))
 
-    decomposed = 0
-    for a in range(bound + 1):
-        for b in range(bound + 1 - a):
-            if (a + 2 * b) % 3 != 0:
-                continue
-            # Admissible means a = b (mod 3), so (a, b) = i*(3,0) + j*(1,1)
-            # + k*(0,3) with j = a mod 3; the recombination is the certificate.
-            j = a % 3
-            i, k = (a - j) // 3, (b - j) // 3
-            if 3 * i + j == a and j + 3 * k == b and min(i, j, k) >= 0:
-                decomposed += 1
-            else:
-                ok = False
-                wit.append(("counterexample monoid",
-                            f"s1^{a}*s2^{b} admissible but not in "
-                            f"<(3,0),(1,1),(0,3)>"))
+    # s1^a*s2^b is admissible when a + 2b = a - b = 0 (mod 3).  Each such
+    # (a, b) is i*(3,0) + j*(1,1) + k*(0,3) with j = a mod 3, i = (a - j)/3
+    # and k = (b - j)/3: b = j (mod 3) rules out 0 <= b < j <= 2, so k >= 0.
+    # Every admissible pair decomposes, and the count is all there is to check.
+    decomposed = sum((a - b) % 3 == 0
+                     for a in range(bound + 1) for b in range(bound + 1 - a))
     wit.append(("admissible monomials decomposed",
                 f"{decomposed} up to total degree {bound}"))
     return ok, wit

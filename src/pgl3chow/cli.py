@@ -3,13 +3,15 @@
 Exit status: 0 when every selected check passes, 1 when any check fails,
 2 for usage or parse errors (unknown check names, bad config files) and for
 input over a size limit, and 3 for internal errors.  Reports go to stdout,
-diagnostics to stderr.
+diagnostics to stderr.  A reader that closes stdout early (``| head -1``)
+is no error: the rest goes to devnull, so the flush at exit stays silent.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -139,6 +141,13 @@ def render_report_text(report: Report, config: Config, selection: str) -> str:
     return "\n".join(lines)
 
 
+def _emit(text: str) -> None:
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _resolve_presentation(spec: str) -> RingPresentation:
     if spec.startswith("builtin:"):
         name = spec.split(":", 1)[1]
@@ -175,10 +184,8 @@ def cmd_check(args: argparse.Namespace, config: Config) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.output_format == "json":
-        print(render_report_json(report, config, selection))
-    else:
-        print(render_report_text(report, config, selection))
+    render = render_report_json if config.output_format == "json" else render_report_text
+    _emit(render(report, config, selection))
     return 0 if report.all_passed else 1
 
 
@@ -206,13 +213,13 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
                   f"--max-degree", file=sys.stderr)
             return 2
         lines.append(f"{d}: {component.render()}")
-    print("\n".join(lines))
+    _emit("\n".join(lines))
     return 0
 
 
 def cmd_list() -> int:
-    for spec in checks.list_checks():
-        print(f"{spec.name}: {spec.description} [anchor: {spec.paper_anchor}]")
+    _emit("\n".join(f"{spec.name}: {spec.description} [anchor: {spec.paper_anchor}]"
+                     for spec in checks.list_checks()))
     return 0
 
 

@@ -16,6 +16,9 @@ substitutions stand in for six.  When a generator moves ``p``, or the
 certificate fails (the element list is not closed), every element acts, and
 the movers are read off all of them.
 
+:meth:`MatrixGroup.closure_check` is the full group test behind a verdict:
+it lists every violation, and none means a group of order ``len(group)``.
+
 Orbit sums model the composite of a transfer with the restriction back to the
 subring: ``orbit_sum(G, p) = sum(act(g, p) for g in G)``, which is fixed by
 every element and multiplies invariants by the group order.
@@ -46,13 +49,6 @@ MatrixRows = tuple[tuple[int, ...], ...]
 
 def _freeze(matrix: Sequence[Sequence[int]]) -> MatrixRows:
     return tuple(tuple(int(x) for x in row) for row in matrix)
-
-
-@dataclass(frozen=True)
-class ClosureReport:
-    ok: bool
-    order: int
-    violations: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,7 @@ class MatrixGroup:
             total = total + ring_map.apply(p)
         return total
 
-    def closure_check(self) -> ClosureReport:
+    def closure_check(self) -> list[str]:
         violations: list[str] = []
         n = self.ctx.arity
         mats = [m for _, m in self.elements]
@@ -148,22 +144,18 @@ class MatrixGroup:
             if len(m) != n or any(len(row) != n for row in m):
                 violations.append(f"{label}: not {n}x{n}")
                 continue
-            det = intlinalg.bareiss_determinant([list(r) for r in m])
+            det = intlinalg.bareiss_determinant(m)
             if det not in (1, -1):
                 violations.append(f"{label}: determinant {det} not a unit")
         mat_set = set(mats)
         for la, ma in self.elements:
             for lb, mb in self.elements:
-                prod = _freeze(intlinalg.matmul([list(r) for r in ma],
-                                                [list(r) for r in mb]))
-                if prod not in mat_set:
+                if _freeze(intlinalg.matmul(ma, mb)) not in mat_set:
                     violations.append(f"product {la}*{lb} escapes the element set")
         for label, m in self.elements:
-            if not any(_freeze(intlinalg.matmul([list(r) for r in m],
-                                                [list(r) for r in other])) == ident
-                       for other in mats):
+            if not any(_freeze(intlinalg.matmul(m, other)) == ident for other in mats):
                 violations.append(f"{label}: no inverse in the element set")
-        return ClosureReport(not violations, len(self.elements), tuple(violations))
+        return violations
 
 
 def literally_shift_invariant(p: Polynomial, direction: Sequence[int]) -> bool:
@@ -199,7 +191,7 @@ def transported_group(group: MatrixGroup, embedding: Sequence[Sequence[int]],
     f_rows_as_gens = intlinalg.transpose(f)  # one generator per target basis vector
     elements = []
     for label, m in group.elements:
-        mf = intlinalg.matmul([list(r) for r in m], f)
+        mf = intlinalg.matmul(m, f)
         cols = []
         for j in range(target_ctx.arity):
             target_vec = [mf[i][j] for i in range(len(mf))]

@@ -24,7 +24,8 @@ reduced into ``[0, pivot)``) with a unimodular ``u``;
 :func:`left_kernel` returns the rows of ``u`` beyond the rank, certified by
 matrix products and a determinant, with no call to the Smith elimination;
 and :func:`solve_left_rational` and :func:`solve_left` read their answer off
-the certified kernel of ``[-target; gens]``, with no back-substitution.
+the certified kernel of ``[-target; gens]``, with no back-substitution; a
+rational answer ``y / g`` is the pair of integers ``(y, g)``.
 :func:`membership` decides membership modulo ``m``: it looks for a
 separating vector before it answers no, and multiplies its certificate back
 before it answers yes.
@@ -35,7 +36,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 Matrix = list[list[int]]
@@ -396,10 +396,10 @@ def left_kernel(gens: Sequence[Sequence[int]]) -> list[Vector]:
 # ---- solving and membership -------------------------------------------------
 
 
-def solve_left_rational(target: Sequence[int],
-                        gens: Sequence[Sequence[int]]) -> list[Fraction] | None:
-    """The canonical rational x with x @ gens == target, or None when
-    inconsistent.
+def solve_left_rational(target: Sequence[int], gens: Sequence[Sequence[int]]
+                        ) -> tuple[Vector, int] | None:
+    """The canonical rational x with x @ gens == target as the integers
+    ``(y, g)``, ``x = y / g`` with ``g >= 1``, or None when inconsistent.
 
     The vectors of :func:`left_kernel` of ``[-target; gens]`` are the
     ``(a, x)`` with ``a·target == x·gens``.  That basis is certified whole,
@@ -413,7 +413,7 @@ def solve_left_rational(target: Sequence[int],
     back; a mismatch raises ``ArithmeticError``.
     """
     if not gens:
-        return [] if all(t == 0 for t in target) else None
+        return ([], 1) if all(t == 0 for t in target) else None
     if len(target) != len(gens[0]):
         raise DimensionMismatchError("target length differs from generators")
     kernel = left_kernel([[-t for t in target], *gens])
@@ -425,17 +425,15 @@ def solve_left_rational(target: Sequence[int],
     if h[0][0] != g or matmul([y], gens)[0] != [g * t for t in target]:
         raise ArithmeticError("the Hermite form of the kernel does not "
                               "give a solution over the kernel's gcd")
-    return [Fraction(c, g) for c in y]
+    return y, g
 
 
 def solve_left(target: Sequence[int], gens: Sequence[Sequence[int]]) -> Vector | None:
     """The canonical integer row vector x with x @ gens == target, or None:
     its entries at the pivots of the syzygies' Hermite form lie in
     ``[0, pivot)``."""
-    x = solve_left_rational(target, gens)
-    if x is None or any(c.denominator != 1 for c in x):
-        return None
-    return [int(c) for c in x]
+    solution = solve_left_rational(target, gens)
+    return solution[0] if solution is not None and solution[1] == 1 else None
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -232,7 +233,8 @@ def express_in(target: Polynomial, gens: Mapping[str, Polynomial]) -> ExpressRes
     syzygy lattice's Hermite form, in graded-lex coordinate order, are
     reduced, so the result is deterministic.
     When only a rational combination exists it is reported in
-    ``rational_expression`` and ``ok`` is False.
+    ``rational_expression``, each coefficient a reduced fraction (``1/3``,
+    ``-1/2``), and ``ok`` is False.
     """
     names = list(gens)
     polys = [gens[n] for n in names]
@@ -273,14 +275,15 @@ def express_in(target: Polynomial, gens: Mapping[str, Polynomial]) -> ExpressRes
     else:  # the empty product 1 is the one monomial in no generators
         sparse = [{0: 1}] if d_target == 0 else []
     rows = [[row.get(j, 0) for j in range(len(basis))] for row in sparse]
-    solution = intlinalg.solve_left_rational(t_vec, rows)
-    if solution is None or any(c.denominator != 1 for c in solution):
-        text = None if solution is None else " + ".join(
-            f"{c}*{gen_ctx.render_monomial(exp) or '1'}"
-            for exp, c in zip(monomials, solution) if c)
-        return ExpressResult(False, None, text)
-    expression = Polynomial(gen_ctx, target.ring,
-                            {exp: int(c) for exp, c in zip(monomials, solution)})
+    # x = y/g; g == 0 means no rational solution, and then no terms either.
+    y, g = intlinalg.solve_left_rational(t_vec, rows) or ((), 0)
+    if g != 1:
+        text = " + ".join(
+            f"{c // math.gcd(c, g)}/{g // math.gcd(c, g)}".removesuffix("/1")
+            + f"*{gen_ctx.render_monomial(exp) or '1'}"
+            for exp, c in zip(monomials, y) if c)
+        return ExpressResult(False, None, text or None)
+    expression = Polynomial(gen_ctx, target.ring, dict(zip(monomials, y)))
     return ExpressResult(True, expression, None)
 
 

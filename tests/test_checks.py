@@ -564,6 +564,23 @@ class TestDeterminism:
         assert [r.name for r in report.results] == EXPECTED_NAMES
 
 
+def decomposed_by_recombination(bound):
+    """The decomposition loop that ``repring-generators`` once ran, kept as
+    the oracle of its count: each admissible ``s1^a*s2^b`` counts when
+    ``(a, b) = i*(3,0) + j*(1,1) + k*(0,3)`` recombines with ``j = a mod 3``
+    and ``i, j, k >= 0``."""
+    decomposed = 0
+    for a in range(bound + 1):
+        for b in range(bound + 1 - a):
+            if (a + 2 * b) % 3 != 0:
+                continue
+            j = a % 3
+            i, k = (a - j) // 3, (b - j) // 3
+            if 3 * i + j == a and j + 3 * k == b and min(i, j, k) >= 0:
+                decomposed += 1
+    return decomposed
+
+
 class TestDegreeMonotonicity:
     def test_gamma_generation_lower_degrees(self):
         for bound in (4, 8, 12):
@@ -572,6 +589,15 @@ class TestDegreeMonotonicity:
     def test_repring_lower_degrees(self):
         for bound in (3, 6, 9):
             assert checks.run_check("repring-generators", bound).verdict == "pass"
+
+    def test_monoid_count_matches_the_decomposition_loop(self):
+        label = "admissible monomials decomposed"
+        for bound in range(MAX_DEGREE + 1):
+            witnesses = checks.run_check("repring-generators", bound).witness_dict()
+            assert witnesses[label] == (f"{decomposed_by_recombination(bound)} "
+                                        f"up to total degree {bound}")
+        default = checks.run_check("repring-generators").witness_dict()
+        assert default[label] == "19 up to total degree 9"
 
     def test_rstar_lower_degrees(self):
         for bound in (8, 12, 16):

@@ -1,6 +1,10 @@
 """Command line interface: flags, exit codes, report formats, config files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +126,24 @@ class TestCheck:
     def test_missing_selection_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "check")
         assert code == 2
+
+
+    def test_reader_closing_early_keeps_the_verdict_status(self):
+        # At --max-degree 64 the report is far larger than a pipe's buffer,
+        # so the writer is still writing when the reader leaves after one
+        # line; hsurj-restrictions fails, so the status is 1.
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pgl3chow", "check", "--all", "--max-degree", "64"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert first == b"# check report (selection: --all)\n"
+        assert err == b""
 
 
 class TestHilbert:

@@ -10,14 +10,25 @@ every result's ``elapsed_ms`` key removed, the one field that varies between
 runs; ``hilbert_rstar_N.txt`` is ``hilbert --spec builtin:Rstar
 --max-degree N`` for N = 20, 32 and 48, the last two pinning the torsion of
 degrees 21-32 and 33-48.
+``check_all_planted.json`` holds, for each fault of ``PLANTS`` planted on
+its own, the exit code and the ``check --all --format json`` report without
+``elapsed_ms``: the counterexample witnesses that a passing run never
+prints.  Rewrite it with ``PYTHONPATH=src python
+tests/test_golden_reports.py`` only when a witness is meant to change.
 A change to the arithmetic that alters a verdict, a witness or the layout of
 a report shows up here as a byte difference.
 """
 
+import contextlib
+import io
+import json
 import re
 from pathlib import Path
 
-from pgl3chow import cli
+import pytest
+
+from pgl3chow import checks, cli
+from pgl3chow.groups import MatrixGroup
 
 DATA = Path(__file__).resolve().parent / "data"
 ELAPSED = re.compile(r',\n\s*"elapsed_ms": [-0-9.eE+]+')
@@ -55,3 +66,65 @@ def test_hilbert_rstar_bytes(capsys):
         assert code == 0
         expected = (DATA / f"hilbert_rstar_{bound}.txt").read_text(encoding="utf-8")
         assert out == expected, bound
+
+
+def _double_gamma3(mp):
+    gammas = checks.gamma_generators()
+    gammas["gamma3"] = 2 * gammas["gamma3"]
+    mp.setattr(checks, "gamma_generators", lambda: dict(gammas))
+
+
+def _four_element_s3_on_xy(mp):
+    # The two elements twistaction-group derives, so that it reaches its
+    # closure witnesses, with e and (132): not closed under products.
+    group = checks.s3_on_xy()
+    kept = tuple(e for e in group.elements if e[0] in ("e", "(12)", "(123)", "(132)"))
+    mp.setattr(checks, "s3_on_xy", lambda: MatrixGroup(group.ctx, kept))
+
+
+def _double_c2(mp):
+    chern_classes = checks.chern_classes
+
+    def doubled(rep, top=None):
+        c = chern_classes(rep, top)
+        return c[:2] + tuple(2 * x for x in c[2:3]) + c[3:]
+    mp.setattr(checks, "chern_classes", doubled)
+
+
+# Each fault reaches counterexample branches of several checks: the
+# non-integral expressions of hsurj-restrictions and sl3-restriction, the
+# expected-value mismatches of two-variable-gammas, sl3-restriction and
+# a3mu3-chern, and the closure and mover witnesses of twistaction-group.
+PLANTS = {
+    "gamma3 -> 2*gamma3": _double_gamma3,
+    "wrong _SL3_EXPECTED c2_sym3":
+        lambda mp: mp.setitem(checks._SL3_EXPECTED, "c2_sym3", "16*a2"),
+    "wrong _TWO_VARIABLE_EXPECTED gamma2":
+        lambda mp: mp.setitem(checks._TWO_VARIABLE_EXPECTED, "gamma2",
+                              "x^2 + x*y + y^2"),
+    "4-element s3_on_xy": _four_element_s3_on_xy,
+    "c2 doubled": _double_c2,
+}
+
+
+def planted_reports() -> str:
+    """The text of ``check_all_planted.json`` as the code gives it now."""
+    reports = {}
+    for name, plant in PLANTS.items():
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+            plant(mp)
+            code = cli.main(["check", "--all", "--format", "json"])
+        reports[name] = {"exit_code": code,
+                         "report": json.loads(ELAPSED.sub("", out.getvalue()))}
+    return json.dumps(reports, indent=2) + "\n"
+
+
+def test_planted_fault_witnesses():
+    expected = (DATA / "check_all_planted.json").read_text(encoding="utf-8")
+    assert planted_reports() == expected
+
+
+if __name__ == "__main__":
+    (DATA / "check_all_planted.json").write_text(planted_reports(),
+                                                 encoding="utf-8")

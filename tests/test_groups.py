@@ -31,15 +31,16 @@ from pgl3chow.repcalc import T_PGL3_XY
 
 class TestClosure:
     def test_two_variable_weyl_group(self):
-        report = s3_on_xy().closure_check()
-        assert report.ok
-        assert report.order == 6
+        group = s3_on_xy()
+        violations = group.closure_check()
+        assert not violations
+        assert len(group) == 6
 
     def test_trivial_group(self):
         ctx = context(("x", "y"))
         group = MatrixGroup(ctx, (("e", ((1, 0), (0, 1))),))
-        report = group.closure_check()
-        assert report.ok and report.order == 1
+        violations = group.closure_check()
+        assert not violations and len(group) == 1
 
     def test_constructed_violation(self):
         ctx = context(("x", "y"))
@@ -48,9 +49,9 @@ class TestClosure:
             ("e", ((1, 0), (0, 1))),
             ("m", ((1, 1), (0, 1))),
         ))
-        report = group.closure_check()
-        assert not report.ok
-        assert any("escapes" in v for v in report.violations)
+        violations = group.closure_check()
+        assert violations
+        assert any("escapes" in v for v in violations)
 
     def test_non_invertible_detected(self):
         ctx = context(("x", "y"))
@@ -58,9 +59,9 @@ class TestClosure:
             ("e", ((1, 0), (0, 1))),
             ("m", ((2, 0), (0, 1))),
         ))
-        report = group.closure_check()
-        assert not report.ok
-        assert any("determinant" in v for v in report.violations)
+        violations = group.closure_check()
+        assert violations
+        assert any("determinant" in v for v in violations)
 
 
 class TestAction:

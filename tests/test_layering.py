@@ -18,9 +18,16 @@ itself would form it again.
 Which elements of a group move a polynomial is asked through
 ``MatrixGroup.movers``, which acts with certified generators first; a loop
 over ``labels()`` that calls ``act`` would act with every element again.
+
+Solves hand back integers, so importing the command line front end loads
+neither ``fractions`` nor ``decimal``, which it imports: a fresh interpreter
+shows what the import costs.
 """
 
 import ast
+import os
+import subprocess
+import sys
 
 from test_dead_code import SRC, _references
 
@@ -34,6 +41,15 @@ def _sites(names, allowed_files):
             if path.name not in allowed_files
             for name, (_, line) in _references(path)
             if name in names]
+
+
+def test_cli_import_loads_neither_fractions_nor_decimal():
+    code = ("import sys, pgl3chow.cli; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out == "[]\n"
 
 
 def test_only_the_table_modules_call_invariant_factors():

@@ -273,8 +273,9 @@ class TestNormalFormLaws:
         x = la.solve_left_rational(target, gens)
         assert (x is None) == (back_substitution_solve_rational(target, gens) is None)
         if x is not None:
-            assert [sum(c * g[j] for c, g in zip(x, gens))
-                    for j in range(n)] == target
+            y, g = x
+            assert [sum(c * row[j] for c, row in zip(y, gens))
+                    for j in range(n)] == [g * t for t in target]
 
 
 RINGS = (INTEGERS, integers_mod(3), integers_mod(4))

@@ -347,6 +347,10 @@ class TestExpressIn:
         assert not result.ok
         assert result.expression is None
         assert result.rational_expression == "1/3*g"
+        # Each coefficient is reduced on its own, with the sign in front.
+        x2 = Polynomial.variable(ctx, "x2")
+        result = express_in(3 * x1 - x2, {"g": 2 * x1, "h": 6 * x2})
+        assert result.rational_expression == "3/2*g + -1/6*h"
 
     def test_no_expression_at_all(self):
         ctx = T_GL3.ctx
