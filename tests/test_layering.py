@@ -20,8 +20,8 @@ Which elements of a group move a polynomial is asked through
 over ``labels()`` that calls ``act`` would act with every element again.
 
 Solves hand back integers, so importing the command line front end loads
-neither ``fractions`` nor ``decimal``, which it imports: a fresh interpreter
-shows what the import costs.
+neither ``fractions`` nor the ``decimal`` that ``fractions`` imports.  The
+test asks a fresh interpreter, because the test session may load both.
 """
 
 import ast
