@@ -54,7 +54,7 @@ from .poly import (
 from .presented import (
     RingPresentation,
     eliminate_unit_generators,
-    graded_component,
+    graded_components,
     partition_series,
     rstar_presentation,
 )
@@ -842,8 +842,7 @@ def _check_rstar_structure(run: _Run, bound: int) -> tuple[bool, Witnesses]:
     ok = True
     wit: Witnesses = []
     lines = []
-    for d in range(bound + 1):
-        comp = graded_component(pres, d)
+    for d, comp in enumerate(graded_components(pres, bound)):
         expected = free_ranks[d]
         lines.append(f"{d}: {comp.render()}")
         if comp.free_rank != expected:

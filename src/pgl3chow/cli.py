@@ -32,7 +32,7 @@ from .presented import (
     BUILTIN_PRESENTATIONS,
     RingPresentation,
     eliminate_unit_generators,
-    graded_component,
+    graded_components,
 )
 
 REPORT_VERSION = "1"
@@ -199,20 +199,18 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
     # Degrees 0..N read only the relations of degree at most N: the degree-d
     # part of the ideal is spanned by relation * monomial products of degree
     # d.  The rest are dropped before the elimination substitutes into them.
-    ctx = pres.context
     low = tuple(rel for rel in pres.relations
-                if all(ctx.weighted_degree(e) <= args.max_degree for e in rel.terms))
+                if (rel.weighted_degree() or 0) <= args.max_degree)
     pres = eliminate_unit_generators(RingPresentation(pres.generators, low))
     lines = []
-    for d in range(args.max_degree + 1):
-        try:
-            component = graded_component(pres, d, MAX_DENSE_WIDTH)
-        except DenseWidthError as exc:
-            print(f"error: degree {d} leaves {exc.width} columns for the dense "
-                  f"elimination, over the limit of {MAX_DENSE_WIDTH}; lower "
-                  f"--max-degree", file=sys.stderr)
-            return 2
-        lines.append(f"{d}: {component.render()}")
+    try:
+        for component in graded_components(pres, args.max_degree, MAX_DENSE_WIDTH):
+            lines.append(f"{component.degree}: {component.render()}")
+    except DenseWidthError as exc:
+        print(f"error: degree {len(lines)} leaves {exc.width} columns for the "
+              f"dense elimination, over the limit of {MAX_DENSE_WIDTH}; lower "
+              f"--max-degree", file=sys.stderr)
+        return 2
     _emit("\n".join(lines))
     return 0
 

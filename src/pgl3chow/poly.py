@@ -26,7 +26,7 @@ addition and :func:`_convolve` multiplies ``{packed key: coefficient}``
 dicts.  ``**`` (binary powering), :meth:`RingMap.apply` (images and their
 power cache) and :func:`elementary_symmetric` pack their inputs once, work
 on ints throughout and unpack once into ``Polynomial._clean``;
-:func:`presented.relation_rows` indexes a degree's basis by packed key.
+:func:`presented.graded_components` forms every degree's basis as packed keys.
 :meth:`RingMap.apply` moves a one-term image ``c*x^a``, such as every image
 of a permutation of the variables, by exponent arithmetic alone: a source
 exponent ``e`` adds ``e*pack(a)`` to the key and multiplies the

@@ -5,17 +5,19 @@ lattice on degree-d generator monomials by the span of every product
 relation * monomial landing in degree d; since the relation ideal is
 homogeneous this span is exactly the ideal's degree-d part, so a Smith normal
 form gives the component's free rank and invariant factors without any
-Groebner machinery.  The products are built as sparse ``{column: value}``
-rows, the input format of :func:`intlinalg.invariant_factors`.
+Groebner machinery.  :func:`graded_components` walks the degrees once: each
+basis is a list of packed exponent keys formed from lower ones, and the
+products are sparse ``{column: value}`` rows over it, the input format of
+:func:`intlinalg.invariant_factors`.
 
 Unit generators and implied relations are eliminated before any rows are
-built: callers that loop over degrees first pass the presentation through
+built: callers first pass the presentation through
 :func:`eliminate_unit_generators`, where a relation ``±g + p`` removes the
 generator ``g`` and itself by ``g -> ∓p``, and then every relation that is
-an integer times a monomial times another relation is dropped.  Both keep
-the graded ring, up to isomorphism, so every component is unchanged, while
-every degree's rows lose the columns of monomials containing ``g`` and the
-rows of ``±g + p`` and of the implied relations.
+an integer times a monomial times another relation is dropped.  Both keep the
+graded ring, up to isomorphism, so every component is unchanged, while every
+degree's rows lose the columns of monomials containing ``g`` and the rows of
+``±g + p`` and of the implied relations.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from typing import Sequence
 from . import intlinalg
 from .poly import (
     INTEGERS,
-    Exponent,
     NotHomogeneousError,
     Polynomial,
     RingMap,
@@ -189,57 +190,56 @@ def _first_unit_term(relations: Sequence[Polynomial]
     return None
 
 
-def relation_rows(pres: RingPresentation, d: int
-                  ) -> tuple[tuple[Exponent, ...], list[dict[int, int]]]:
-    """Degree-d monomial basis and the sparse rows of the relation*monomial
-    products, one ``{column: value}`` dict per product.
+def graded_components(pres: RingPresentation, bound: int,
+                      dense_limit: int | None = None):
+    """Yield the degree-d component for ``d = 0..bound``: the lattice on the
+    degree-d monomials modulo the relation * monomial rows, by their Smith
+    invariant factors (``dense_limit`` as in :func:`intlinalg.invariant_factors`).
 
-    The row of ``rel * mono`` maps the index of ``mono + e`` to the
-    coefficient of each term ``e`` of ``rel``; distinct terms land on
-    distinct monomials, so no entries add, and the coefficients of a
-    polynomial are nonzero, so neither are the entries.  A row has as many
-    entries as its relation has terms, whatever the width of the basis.
-
-    The sums ``mono + e`` are taken on packed keys (:func:`poly.packing`
-    with ``top = d``): the basis is indexed by packed key, each relation's
-    terms and each basis of a degree ``d - deg(rel)`` are packed once, and
-    a row reads ``index[pack(mono) + pack(e)]``.  Weights are at least 1,
-    so no exponent of a degree-d monomial exceeds ``d`` and the packing is
-    additive.
+    One packing with ``top = bound`` serves the run: weights are at least 1,
+    so no exponent reaches past ``bound``.  Each relation is weighed and
+    packed once, and each basis of :func:`_packed_bases` is kept for the
+    later degrees.  The row of ``rel * mono`` maps the index of ``mono + e``
+    to the coefficient of each term ``e`` of ``rel``; distinct terms land on
+    distinct monomials, so a row has one entry per term of its relation.
     """
-    ctx = pres.context
-    basis = ctx.monomials_of_degree(d)
-    pack, _ = packing(ctx.arity, d)
-    index = {pack(e): i for i, e in enumerate(basis)}
-    lower: dict[int, list[int]] = {}
-    rows: list[dict[int, int]] = []
+    pack, _ = packing(pres.context.arity, bound)
+    relations = []
     for rel in pres.relations:
-        rel_degree = rel.weighted_degree()
-        if rel_degree is None or rel_degree > d:
-            continue
-        terms = [(pack(e), c) for e, c in rel.terms.items()]
-        keys = lower.get(rel_degree)
-        if keys is None:
-            keys = lower[rel_degree] = list(map(
-                pack, ctx.monomials_of_degree(d - rel_degree)))
-        for key in keys:
-            rows.append({index[key + k]: c for k, c in terms})
-    return basis, rows
+        degree = rel.weighted_degree()
+        if degree is not None and degree <= bound:
+            relations.append((degree, [(pack(e), c) for e, c in rel.terms.items()]))
+    bases: list[list[int]] = []
+    for d, basis in enumerate(_packed_bases(pres.context.weights, bound, pack)):
+        bases.append(basis)
+        index = dict(zip(basis, range(len(basis))))
+        rows = [{index[key + k]: c for k, c in terms}
+                for degree, terms in relations if degree <= d
+                for key in bases[d - degree]]
+        nonzero = [x for x in intlinalg.invariant_factors(
+            rows, len(basis), dense_limit) if x]
+        yield GradedComponent(d, len(basis) - len(nonzero),
+                              tuple(x for x in nonzero if x > 1))
 
 
-def graded_component(pres: RingPresentation, d: int,
-                     dense_limit: int | None = None) -> GradedComponent:
-    """The degree-d component: the lattice on the degree-d monomials modulo
-    the rows of :func:`relation_rows`, from their Smith invariant factors;
-    see :func:`intlinalg.invariant_factors` for ``dense_limit``."""
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    basis, rows = relation_rows(pres, d)
-    diag = intlinalg.invariant_factors(rows, len(basis), dense_limit)
-    nonzero = [x for x in diag if x != 0]
-    free_rank = len(basis) - len(nonzero)
-    torsion = tuple(x for x in nonzero if x > 1)
-    return GradedComponent(d, free_rank, torsion)
+def _packed_bases(weights: Sequence[int], bound: int, pack):
+    """Yield the packed keys of each degree ``0..bound``'s monomials, largest
+    first as in :meth:`poly.VariableContext.monomials_of_degree`.
+
+    ``tables[i][d]`` holds those in the variables ``i..``: the keys of
+    ``tables[i][d - w_i]`` plus ``pack(e_i)``, then the smaller ones without
+    variable ``i``, ``tables[i + 1][d]``; so each key is one addition.
+    """
+    n = len(weights)
+    units = [pack(tuple(int(j == i) for j in range(n))) for i in range(n)]
+    tables: list[list[list[int]]] = [[] for _ in range(n)]
+    for d in range(bound + 1):
+        keys = [0] if d == 0 else []
+        for i in reversed(range(n)):
+            if d >= weights[i]:
+                keys = [k + units[i] for k in tables[i][d - weights[i]]] + keys
+            tables[i].append(keys)
+        yield keys
 
 
 def rstar_presentation() -> RingPresentation:

@@ -210,9 +210,12 @@ def restrict_poly(p: Polynomial, m: LatticeMap) -> Polynomial:
 
 @dataclass(frozen=True)
 class ExpressResult:
-    ok: bool
     expression: Polynomial | None
     rational_expression: str | None
+
+    @property
+    def ok(self) -> bool:
+        return self.expression is not None
 
 
 class ExpressError(ValueError):
@@ -262,7 +265,7 @@ def express_in(target: Polynomial, gens: Mapping[str, Polynomial]) -> ExpressRes
             raise ExpressError(
                 f"generator {name} is not homogeneous and nonzero") from None
     if not target_degrees:
-        return ExpressResult(True, Polynomial.zero(gen_ctx, target.ring), None)
+        return ExpressResult(Polynomial.zero(gen_ctx, target.ring), None)
     if len(target_degrees) != 1:
         raise ExpressError("target is not homogeneous")
     (d_target,) = target_degrees
@@ -282,9 +285,9 @@ def express_in(target: Polynomial, gens: Mapping[str, Polynomial]) -> ExpressRes
             f"{c // math.gcd(c, g)}/{g // math.gcd(c, g)}".removesuffix("/1")
             + f"*{gen_ctx.render_monomial(exp) or '1'}"
             for exp, c in zip(monomials, y) if c)
-        return ExpressResult(False, None, text or None)
+        return ExpressResult(None, text or None)
     expression = Polynomial(gen_ctx, target.ring, dict(zip(monomials, y)))
-    return ExpressResult(True, expression, None)
+    return ExpressResult(expression, None)
 
 
 # ---- built-in catalog ---------------------------------------------------------

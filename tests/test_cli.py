@@ -10,7 +10,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from pgl3chow import cli, intlinalg
+from pgl3chow import cli, intlinalg, presented
 from pgl3chow.config import (
     MAX_BASIS_WIDTH,
     MAX_DEGREE,
@@ -193,7 +193,8 @@ class TestHilbert:
                                                     monkeypatch):
         # Twelve generators of degree 1 have C(75, 11), about 4.9e12,
         # monomials in degree 64; the count from the degrees alone stops the
-        # run at degree 5, before a single monomial is enumerated.
+        # run at degree 5, before a single monomial is enumerated, as tuples
+        # or as packed keys.
         cfg = tmp_path / "wide.cfg"
         cfg.write_text("[presentation wide]\ngenerators = "
                        + " ".join(f"g{i}:1" for i in range(12))
@@ -203,6 +204,7 @@ class TestHilbert:
             raise AssertionError("monomials enumerated")
 
         monkeypatch.setattr(VariableContext, "monomials_of_degree", refuse)
+        monkeypatch.setattr(presented, "_packed_bases", refuse)
         code, out, err = run_cli(capsys, "hilbert", "--spec", str(cfg),
                                  "--max-degree", "64")
         assert code == 2

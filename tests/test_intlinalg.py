@@ -9,11 +9,8 @@ import pytest
 
 from pgl3chow import intlinalg as la
 from pgl3chow.intlinalg import SparseRow
-from pgl3chow.presented import (
-    eliminate_unit_generators,
-    relation_rows,
-    rstar_presentation,
-)
+from pgl3chow.presented import eliminate_unit_generators, rstar_presentation
+from presented_oracle import tuple_relation_rows
 
 
 def smith_diag(a):
@@ -251,7 +248,7 @@ class TestContentFirst:
     def test_rstar_degree_28_takes_one_sweep(self, monkeypatch):
         # Every row of the eliminated R* presentation has content 3; after
         # dividing it out, one sweep pivots on every row of the rank.
-        basis, rows = relation_rows(
+        basis, rows = tuple_relation_rows(
             eliminate_unit_generators(rstar_presentation()), 28)
         expected = sweep_first_invariant_factors(rows, len(basis))
         sweeps = count_sweeps(monkeypatch)

@@ -19,6 +19,12 @@ Which elements of a group move a polynomial is asked through
 ``MatrixGroup.movers``, which acts with certified generators first; a loop
 over ``labels()`` that calls ``act`` would act with every element again.
 
+The graded components of a presented ring come from one loop over the
+degrees, which packs once for the run and forms each degree's basis from
+lower ones as packed keys: ``presented`` names neither the tuple enumerator
+``monomials_of_degree`` nor a one-degree ``graded_component``, and calls
+``packing`` in no loop.
+
 Solves hand back integers, so importing the command line front end loads
 neither ``fractions`` nor the ``decimal`` that ``fractions`` imports.  The
 test asks a fresh interpreter, because the test session may load both.
@@ -108,3 +114,15 @@ def _label_loops_that_act(tree):
 def test_checks_ask_movers_not_each_element():
     tree = ast.parse((SRC / "checks.py").read_text(encoding="utf-8"))
     assert list(_label_loops_that_act(tree)) == []
+
+
+def test_presented_packs_once_and_builds_no_basis_per_degree():
+    path = SRC / "presented.py"
+    assert [f"{line}:{name}" for name, (_, line) in _references(path)
+            if name in {"monomials_of_degree", "graded_component"}] == []
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [f"{call.lineno}" for loop in ast.walk(tree)
+            if isinstance(loop, (*LOOPS, ast.While))
+            for call in ast.walk(loop)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == "packing"] == []

@@ -1,50 +1,77 @@
 """Graded components, rational ranks and unit-generator elimination of
 presented rings."""
 
-import operator
-
 import pytest
 
-from pgl3chow.poly import INTEGERS, NotHomogeneousError, Polynomial
+from pgl3chow import intlinalg
+from pgl3chow.intlinalg import DenseWidthError
+from pgl3chow.poly import (
+    INTEGERS,
+    NotHomogeneousError,
+    Polynomial,
+    context,
+    packing,
+)
 from pgl3chow.presented import (
     GradedComponent,
     RingPresentation,
+    _packed_bases,
     eliminate_unit_generators,
-    graded_component,
+    graded_components,
     partition_series,
-    relation_rows,
     rstar_presentation,
 )
+from presented_oracle import component_oracle, tuple_relation_rows
 from test_intlinalg import rank_over_q
 
 
 def rational_rank(pres, d):
     """Rank of the degree-d piece after tensoring with Q, by the
     ``rank_over_q`` cross-check."""
-    basis, rows = relation_rows(pres, d)
+    basis, rows = tuple_relation_rows(pres, d)
     return len(basis) - rank_over_q(rows)
+
+
+def components(pres, bound):
+    return list(graded_components(pres, bound))
+
+
+def capture_eliminations(monkeypatch):
+    """The ``(cols, rows)`` of each ``invariant_factors`` call, in order."""
+    calls = []
+    real = intlinalg.invariant_factors
+
+    def spy(rows, cols, dense_limit=None):
+        calls.append((cols, [dict(row) for row in rows]))
+        return real(rows, cols, dense_limit)
+
+    monkeypatch.setattr(intlinalg, "invariant_factors", spy)
+    return calls
+
+
+# The field width of the packing is bound.bit_length(); it changes after
+# these bounds and at them.
+WIDTH_STEPS = (0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 64)
 
 
 class TestGradedComponents:
     def test_degree_zero(self):
-        comp = graded_component(rstar_presentation(), 0)
-        assert comp == GradedComponent(0, 1, ())
+        assert components(rstar_presentation(), 0) == [GradedComponent(0, 1, ())]
 
     def test_degree_two(self):
-        comp = graded_component(rstar_presentation(), 2)
+        comp = components(rstar_presentation(), 2)[2]
         assert comp == GradedComponent(2, 1, ())
 
     def test_degree_four_torsion(self):
-        comp = graded_component(rstar_presentation(), 4)
+        comp = components(rstar_presentation(), 4)[4]
         assert comp == GradedComponent(4, 1, (3,))
         assert comp.render() == "Z ⊕ Z/3"
 
     def test_single_generator_oracle(self):
         for n in (2, 3, 5):
             pres = RingPresentation.from_strings([("g", 1)], [f"{n}*g"])
-            for d in range(1, 7):
-                assert graded_component(pres, d) == GradedComponent(d, 0, (n,))
-            assert graded_component(pres, 0) == GradedComponent(0, 1, ())
+            assert components(pres, 6) == [GradedComponent(0, 1, ())] + [
+                GradedComponent(d, 0, (n,)) for d in range(1, 7)]
 
     def test_implied_relation_changes_nothing(self):
         base = rstar_presentation()
@@ -52,22 +79,105 @@ class TestGradedComponents:
             [(n, d) for n, d in base.generators],
             [r.render() for r in base.relations] + ["3*rho^2 - 3*c8"],
         )
-        for d in range(17):
-            assert graded_component(base, d) == graded_component(augmented, d)
+        assert components(base, 16) == components(augmented, 16)
 
     def test_relations_must_be_homogeneous(self):
         with pytest.raises(NotHomogeneousError):
             RingPresentation.from_strings([("g", 1), ("h", 2)], ["g + h"])
 
+    def test_dense_limit_stops_at_the_first_wide_degree(self, monkeypatch):
+        # 4*a + 6*b and 6*a + 4*b have content 2 and, divided by it, no
+        # unit: every degree d >= 1 leaves d + 1 columns for the dense
+        # elimination, so a limit of 3 passes degrees 0..2 and stops at 3.
+        pres = RingPresentation.from_strings([("a", 1), ("b", 1)],
+                                             ["4*a + 6*b", "6*a + 4*b"])
+        calls = capture_eliminations(monkeypatch)
+        yielded = []
+        with pytest.raises(DenseWidthError) as exc:
+            for comp in graded_components(pres, 10, dense_limit=3):
+                yielded.append(comp)
+        assert [c.degree for c in yielded] == [0, 1, 2]
+        assert exc.value.width == 4
+        assert [cols for cols, _ in calls] == [1, 2, 3, 4]
+
+
+class TestPackedBases:
+    def check_bases(self, weights, bounds):
+        series = partition_series(weights, max(bounds))
+        ctx = context([f"v{i}" for i in range(len(weights))], weights)
+        expected = [ctx.monomials_of_degree(d)
+                    for d in range(max(bounds) + 1)]
+        for bound in bounds:
+            pack, unpack = packing(len(weights), bound)
+            bases = list(_packed_bases(weights, bound, pack))
+            assert len(bases) == bound + 1
+            for d, keys in enumerate(bases):
+                monomials = [unpack(k) for k in keys]
+                assert set(monomials) == set(expected[d]), (weights, bound, d)
+                assert len(keys) == series[d], (weights, bound, d)
+                # Largest first, so the rows come in the tuple builder's order.
+                assert monomials == list(expected[d]), (weights, bound, d)
+
+    def test_rstar_weights_at_every_field_width(self):
+        raw = rstar_presentation()
+        for pres in (raw, eliminate_unit_generators(raw)):
+            self.check_bases(pres.context.weights, WIDTH_STEPS)
+
+    def test_weights_one_two_three_at_every_field_width(self):
+        self.check_bases((1, 2, 3), WIDTH_STEPS)
+
+    def test_twelve_weight_one_variables(self):
+        # Weight-1 variables reach the exponent ``bound`` itself, so a field
+        # one bit too narrow would carry into the next variable.
+        self.check_bases((1,) * 12, (0, 1, 2, 3, 4))
+
+    def test_no_variables(self):
+        pack, _ = packing(0, 5)
+        assert list(_packed_bases((), 5, pack)) == [[0], [], [], [], [], []]
+
+
+class TestComponentsAgainstTheOracle:
+    def test_rstar_raw_and_eliminated(self):
+        raw = rstar_presentation()
+        for pres in (raw, eliminate_unit_generators(raw)):
+            assert components(pres, 40) == [component_oracle(pres, d)
+                                            for d in range(41)]
+
+    def test_single_generator_family(self):
+        for n in (2, 3, 5, 6):
+            pres = RingPresentation.from_strings([("g", 2)], [f"{n}*g^2"])
+            assert components(pres, 12) == [component_oracle(pres, d)
+                                             for d in range(13)]
+
+    def test_remainder_reaching_the_dense_elimination(self, monkeypatch):
+        # Content 2, then 2*a + 3*b and 3*a + 2*b hold no unit, so the
+        # rows of every degree from 1 on go to _smith_reduce.
+        pres = RingPresentation.from_strings([("a", 1), ("b", 1)],
+                                             ["4*a + 6*b", "6*a + 4*b"])
+        reduced = []
+        real = intlinalg._smith_reduce
+
+        def spy(a):
+            reduced.append(len(a))
+            return real(a)
+
+        monkeypatch.setattr(intlinalg, "_smith_reduce", spy)
+        got = components(pres, 8)
+        assert len(reduced) == 8
+        monkeypatch.undo()
+        assert got == [component_oracle(pres, d) for d in range(9)]
+        assert got[1] == GradedComponent(1, 0, (2, 10))  # det -20, content 2
+
 
 class TestRelationRows:
     def test_rows_are_sparse_products(self):
-        # Row k is rel * mono for the k-th (relation, monomial) pair, with
-        # only nonzero entries, each at the index of its product monomial.
+        # The oracle's row k is rel * mono for the k-th (relation, monomial)
+        # pair, with only nonzero entries, each at the index of its product
+        # monomial.
         pres = rstar_presentation()
         ctx = pres.context
         for d in range(13):
-            basis, rows = relation_rows(pres, d)
+            basis, rows = tuple_relation_rows(pres, d)
             products = [
                 rel * Polynomial(ctx, INTEGERS, {mono: 1})
                 for rel in pres.relations
@@ -79,44 +189,38 @@ class TestRelationRows:
                 assert {basis[j]: c for j, c in row.items()} == product.terms
 
 
-def tuple_relation_rows(pres, d):
-    """The tuple-keyed builder that ``relation_rows`` replaced, kept as an
-    oracle: each product monomial is ``mono + e`` added as a tuple."""
-    ctx = pres.context
-    basis = ctx.monomials_of_degree(d)
-    index = {e: i for i, e in enumerate(basis)}
-    rows = []
-    for rel in pres.relations:
-        rel_degree = rel.weighted_degree()
-        if rel_degree is None or rel_degree > d:
-            continue
-        for mono in ctx.monomials_of_degree(d - rel_degree):
-            rows.append({index[tuple(map(operator.add, mono, e))]: c
-                         for e, c in rel.terms.items()})
-    return basis, rows
-
-
 class TestPackedRelationRows:
-    # The field width of the packing is d.bit_length(); it changes after
-    # these degrees and at them.
-    WIDTH_STEPS = (1, 2, 3, 4, 7, 8, 15, 16, 31, 32)
+    """The matrix ``graded_components`` eliminates in each degree is the
+    tuple builder's, column for column and row for row."""
 
-    def test_rstar_rows_match_the_tuple_builder(self):
+    def test_rstar_rows_match_the_tuple_builder(self, monkeypatch):
         raw = rstar_presentation()
         for pres in (raw, eliminate_unit_generators(raw)):
-            for d in range(41):
-                assert relation_rows(pres, d) == tuple_relation_rows(pres, d), d
+            calls = capture_eliminations(monkeypatch)
+            components(pres, 40)
+            assert len(calls) == 41
+            for d, (cols, rows) in enumerate(calls):
+                basis, expected = tuple_relation_rows(pres, d)
+                assert (cols, rows) == (len(basis), expected), d
+            monkeypatch.undo()
 
-    def test_exponents_at_the_top_of_the_field(self):
-        # Weight-1 generators reach the exponent d itself, so a field one
-        # bit too narrow would carry into the next variable.
+    def test_exponents_at_the_top_of_the_field(self, monkeypatch):
+        # Weight-1 generators reach the exponent ``bound`` itself, so a
+        # field one bit too narrow would carry into the next variable.
         pres = RingPresentation.from_strings(
             [("x", 1), ("y", 1), ("z", 2)],
             ["2*x", "x*y - 3*z", "y^3 - x*z"])
-        for d in (0, *self.WIDTH_STEPS, 40):
-            basis, rows = relation_rows(pres, d)
-            assert (0, d, 0) in basis
-            assert (basis, rows) == tuple_relation_rows(pres, d), d
+        bounds = (*WIDTH_STEPS[:-1], 40)
+        oracle = [tuple_relation_rows(pres, d) for d in range(max(bounds) + 1)]
+        for bound in bounds:
+            calls = capture_eliminations(monkeypatch)
+            components(pres, bound)
+            assert len(calls) == bound + 1
+            for d, (cols, rows) in enumerate(calls):
+                basis, expected = oracle[d]
+                assert (0, d, 0) in basis
+                assert (cols, rows) == (len(basis), expected), (bound, d)
+            monkeypatch.undo()
 
 
 class TestPartitionSeries:
@@ -129,8 +233,8 @@ class TestPartitionSeries:
 class TestRationalRanks:
     def test_table_matches_free_ranks(self):
         pres = rstar_presentation()
-        for d in range(17):
-            assert rational_rank(pres, d) == graded_component(pres, d).free_rank
+        for comp in graded_components(pres, 16):
+            assert rational_rank(pres, comp.degree) == comp.free_rank
 
     def test_degree_six_rank_two(self):
         assert rational_rank(rstar_presentation(), 6) == 2
@@ -166,8 +270,7 @@ class TestEliminateUnitGenerators:
         # g - a may spend either generator; one of degree 1 is left.
         assert [d for _, d in reduced.generators] == [1]
         assert reduced.relations == ()
-        for d in range(6):
-            assert graded_component(reduced, d) == graded_component(pres, d)
+        assert components(reduced, 5) == components(pres, 5)
 
     def test_rstar_loses_c8_and_the_implied_relation(self):
         # 3*c8 becomes 3*rho^2 = rho*(3*rho), a multiple of 3*rho.
@@ -194,8 +297,7 @@ class TestEliminateUnitGenerators:
         assert reduced.generators == pres.generators
         assert [r.render() for r in reduced.relations] == [
             "2*a^2 - 3*b^2", "4*a*b", "a^3 + b^3", "2*a^2 + a*b - 3*b^2"]
-        for d in range(8):
-            assert graded_component(reduced, d) == graded_component(pres, d)
+        assert components(reduced, 7) == components(pres, 7)
 
     def test_later_divisor_drops_an_earlier_multiple(self):
         pres = RingPresentation.from_strings([("a", 1), ("b", 2)],
