@@ -1,5 +1,11 @@
 """Command line front end: run checks, print Hilbert tables, list the registry.
 
+Each subcommand names its handler in the parser (``args.run``), and each
+handler takes the parsed flags and the ``--config`` file (an empty
+``UserConfig`` without the flag) and resolves its settings where it uses
+them: a flag beats the file, and the file beats the default.  The parser is
+built once per process, at the first ``main`` call.
+
 Exit status: 0 when every selected check passes, 1 when any check fails,
 2 for usage or parse errors (unknown check names, bad config files) and for
 input over a size limit, and 3 for internal errors.  Reports go to stdout,
@@ -10,10 +16,10 @@ is no error: the rest goes to devnull, so the flush at exit stays silent.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import checks
@@ -91,29 +97,15 @@ REPORT_SCHEMA = {
 }
 
 
-@dataclass
-class Config:
-    """Effective CLI configuration after merging flags and the config file."""
-
-    output_format: str = "text"
-    max_degree: int | None = None
-    max_degree_overrides: dict[str, int] = field(default_factory=dict)
-
-
 def _anchors() -> dict[str, str]:
     return {spec.name: spec.paper_anchor for spec in checks.list_checks()}
 
 
-def render_report_json(report: Report, config: Config, selection: str) -> str:
+def render_report_json(report: Report, echo: dict) -> str:
     anchors = _anchors()
     payload = {
         "version": REPORT_VERSION,
-        "config_echo": {
-            "selection": selection,
-            "format": config.output_format,
-            "max_degree": config.max_degree,
-            "max_degree_overrides": dict(config.max_degree_overrides),
-        },
+        "config_echo": echo,
         "results": [
             {
                 "name": r.name,
@@ -129,7 +121,7 @@ def render_report_json(report: Report, config: Config, selection: str) -> str:
     return json.dumps(payload, indent=2, sort_keys=False)
 
 
-def render_report_text(report: Report, config: Config, selection: str) -> str:
+def render_report_text(report: Report, selection: str) -> str:
     lines = [f"# check report (selection: {selection})"]
     for r in report.results:
         lines.append(f"{r.name}: {r.verdict} ({r.elapsed * 1000.0:.1f} ms)")
@@ -165,17 +157,19 @@ def _resolve_presentation(spec: str) -> RingPresentation:
     return next(iter(loaded.presentations.values()))
 
 
-def cmd_check(args: argparse.Namespace, config: Config) -> int:
+def cmd_check(args: argparse.Namespace, user: UserConfig) -> int:
     selection = "--all" if args.all else args.name
+    output_format = args.format or user.output_format or "text"
+    overrides = user.max_degree_overrides
     try:
-        checks.validate_overrides(config.max_degree_overrides)
+        checks.validate_overrides(overrides)
         # --max-degree beats the config file's per-check bounds, as --format
         # beats its format: given the flag, every selected check runs to it.
-        bounds = {} if config.max_degree is not None else config.max_degree_overrides
+        bounds = {} if args.max_degree is not None else overrides
         if args.all:
-            report = checks.run_all(bounds, config.max_degree)
+            report = checks.run_all(bounds, args.max_degree)
         else:
-            bound = bounds.get(args.name, config.max_degree)
+            bound = bounds.get(args.name, args.max_degree)
             report = Report((checks.run_check(args.name, bound),))
     except UnknownCheckError as exc:
         print(f"error: unknown check {exc.args[0]!r}; run 'pgl3chow list'",
@@ -184,12 +178,16 @@ def cmd_check(args: argparse.Namespace, config: Config) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    render = render_report_json if config.output_format == "json" else render_report_text
-    _emit(render(report, config, selection))
+    if output_format == "json":
+        _emit(render_report_json(report, {
+            "selection": selection, "format": output_format,
+            "max_degree": args.max_degree, "max_degree_overrides": overrides}))
+    else:
+        _emit(render_report_text(report, selection))
     return 0 if report.all_passed else 1
 
 
-def cmd_hilbert(args: argparse.Namespace) -> int:
+def cmd_hilbert(args: argparse.Namespace, user: UserConfig) -> int:
     try:
         pres = _resolve_presentation(args.spec)
         check_basis_width(pres, args.max_degree)
@@ -215,12 +213,13 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_list() -> int:
+def cmd_list(args: argparse.Namespace, user: UserConfig) -> int:
     _emit("\n".join(f"{spec.name}: {spec.description} [anchor: {spec.paper_anchor}]"
                      for spec in checks.list_checks()))
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pgl3chow",
@@ -229,6 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH",
                         help="config file; its [options] section sets the "
                              "report format and per-check max-degree bounds")
+    parser.set_defaults(max_degree=None)  # list has no --max-degree
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="run one check or the whole registry")
@@ -240,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
                               f"bound in the config file (0 to {MAX_DEGREE})")
     p_check.add_argument("--format", choices=("text", "json"),
                          help="report format (default text)")
+    p_check.set_defaults(run=cmd_check)
 
     p_hilbert = sub.add_parser(
         "hilbert", help="graded components of a presented ring")
@@ -247,54 +248,31 @@ def build_parser() -> argparse.ArgumentParser:
                            help="presentation source, e.g. builtin:Rstar")
     p_hilbert.add_argument("--max-degree", type=int, required=True, metavar="N",
                            help=f"last degree to print (0 to {MAX_DEGREE})")
+    p_hilbert.set_defaults(run=cmd_hilbert)
 
-    sub.add_parser("list", help="list the check registry with anchors")
+    p_list = sub.add_parser("list", help="list the check registry with anchors")
+    p_list.set_defaults(run=cmd_list)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else 2
-
-    user: UserConfig | None = None
-    if args.config:
-        try:
-            user = load_config(args.config)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    config = Config()
-    if user is not None:
-        config.max_degree_overrides.update(user.max_degree_overrides)
-        if user.output_format:
-            config.output_format = user.output_format
-    if getattr(args, "format", None):
-        config.output_format = args.format
-    if getattr(args, "max_degree", None) is not None:
-        try:
-            check_degree_bound(args.max_degree, "--max-degree")
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.command == "check":
-            config.max_degree = args.max_degree
-
     try:
-        if args.command == "check":
-            return cmd_check(args, config)
-        if args.command == "hilbert":
-            return cmd_hilbert(args)
-        if args.command == "list":
-            return cmd_list()
+        user = UserConfig() if args.config is None else load_config(args.config)
+        if args.max_degree is not None:
+            check_degree_bound(args.max_degree, "--max-degree")
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return args.run(args, user)
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    return 2  # pragma: no cover - unreachable with required subcommands
 
 
 if __name__ == "__main__":  # pragma: no cover

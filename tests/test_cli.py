@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -144,6 +145,49 @@ class TestCheck:
         assert proc.wait(timeout=120) == 1
         assert first == b"# check report (selection: --all)\n"
         assert err == b""
+
+
+class TestParser:
+    """One parser, built at the first ``main`` call, serves every call of
+    the process; no call's flags or config reach the next."""
+
+    def test_built_once_and_not_at_import(self):
+        assert cli.build_parser() is cli.build_parser()
+        src = Path(cli.__file__).resolve().parents[1]
+        probe = ("import contextlib, io\n"
+                 "from pgl3chow import cli\n"
+                 "print(cli.build_parser.cache_info().misses)\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    cli.main(['list']); cli.main(['check', '--name', 'bogus'])\n"
+                 "print(cli.build_parser.cache_info().misses)\n")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                              timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "0\n1\n")
+
+    def test_no_state_carries_between_calls(self, capsys, tmp_path):
+        cfg = tmp_path / "bound.cfg"
+        cfg.write_text("[options]\nformat = json\nmax-degree gamma-generation = 4\n")
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "check", "--name",
+                               "gamma-generation", "--format", "json",
+                               "--max-degree", "2")
+        assert code == 0
+        assert json.loads(out)["config_echo"]["max_degree"] == 2
+        code, out, err = run_cli(capsys, "check", "--name", "gamma-generation",
+                                 "--max-degree", "two")
+        assert (code, out) == (2, "")
+        assert "invalid int value: 'two'" in err
+        code, out, err = run_cli(capsys, "check", "--name", "gamma-generation")
+        assert (code, err) == (0, "")
+        assert out.startswith("# check report (selection: gamma-generation)\n")
+        assert "    checked degrees: 0..12\n" in out
+
+    def test_identical_calls_print_identical_bytes(self, capsys):
+        elapsed = re.compile(r" \(\d+\.\d ms\)$", re.M)
+        first, second = ((code, elapsed.sub("", out), err) for code, out, err
+                         in (run_cli(capsys, "check", "--all") for _ in range(2)))
+        assert first == second
+        assert (first[0], first[2]) == (1, "")
 
 
 class TestHilbert:
@@ -292,9 +336,16 @@ class TestConfigFile:
             for selection in (["--all"], ["--name", "gamma-generation"]):
                 _, out, _ = run_cli(capsys, "--config", str(cfg), "check",
                                     *selection, *flag)
-                results = {r["name"]: r for r in json.loads(out)["results"]}
+                payload = json.loads(out)
+                results = {r["name"]: r for r in payload["results"]}
                 witnesses = results["gamma-generation"]["witnesses"]
                 assert witnesses["checked degrees"] == degrees, (selection, flag)
+                assert payload["config_echo"] == {
+                    "selection": selection[-1],
+                    "format": "json",
+                    "max_degree": 2 if flag else None,
+                    "max_degree_overrides": {"gamma-generation": 4},
+                }, (selection, flag)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown options key"):
@@ -372,6 +423,9 @@ class TestConfigFile:
                            "run 'pgl3chow list'\n")
 
     def test_bad_config_path_exits_2(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "--config", str(tmp_path / "absent.cfg"),
-                               "list")
-        assert code == 2
+        # An empty path is a path given: it is read, and fails, like hilbert's
+        # --spec ''.
+        for path in (str(tmp_path / "absent.cfg"), ""):
+            code, out, err = run_cli(capsys, "--config", path, "list")
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: cannot read config {path!r}: ")

@@ -1,15 +1,16 @@
 """Report bytes pinned against files in tests/data.
 
-``check_all.json`` is the output of ``check --all --format json``,
+``check_all.json`` is the output of ``check --all --format json`` and
+``check_all.txt`` that of ``check --all`` (the text report),
 ``gamma_generation_N.json`` that of ``check --name gamma-generation
 --max-degree N --format json`` for N = 24 and 64 (the input limit, pinning
 the Molien ranks of all 65 degrees) and ``rstar_structure_N.json`` that of
 ``check --name rstar-structure --max-degree N --format json`` for N = 32 and
 64 (the input limit, pinning the torsion table of all 65 degrees), each with
-every result's ``elapsed_ms`` key removed, the one field that varies between
-runs; ``hilbert_rstar_N.txt`` is ``hilbert --spec builtin:Rstar
---max-degree N`` for N = 20, 32 and 48, the last two pinning the torsion of
-degrees 21-32 and 33-48.
+every result's ``elapsed_ms`` key (in text, each ``(N.N ms)``) removed,
+the one field that varies between runs; ``hilbert_rstar_N.txt`` is
+``hilbert --spec builtin:Rstar --max-degree N`` for N = 20, 32 and 48, the
+last two pinning the torsion of degrees 21-32 and 33-48.
 ``check_all_planted.json`` holds, for each fault of ``PLANTS`` planted on
 its own, the exit code and the ``check --all --format json`` report without
 ``elapsed_ms``: the counterexample witnesses that a passing run never
@@ -32,6 +33,7 @@ from pgl3chow.groups import MatrixGroup
 
 DATA = Path(__file__).resolve().parent / "data"
 ELAPSED = re.compile(r',\n\s*"elapsed_ms": [-0-9.eE+]+')
+ELAPSED_TEXT = re.compile(r" \(\d+\.\d ms\)$", re.M)
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +59,13 @@ def test_check_all_json_bytes(capsys):
         assert code == exit_code, name
         expected = (DATA / name).read_text(encoding="utf-8")
         assert ELAPSED.sub("", out) == expected, name
+
+
+def test_check_all_text_bytes(capsys):
+    code, out = run_cli(capsys, "check", "--all")
+    assert code == 1
+    expected = (DATA / "check_all.txt").read_text(encoding="utf-8")
+    assert ELAPSED_TEXT.sub("", out) == expected
 
 
 def test_hilbert_rstar_bytes(capsys):
