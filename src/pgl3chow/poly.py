@@ -5,7 +5,9 @@ kept in canonical form: no zero coefficients are stored and Z/m coefficients
 are canonical residues in [0, m).  Iteration, printing and basis enumeration
 all follow graded-lex order (weighted degree first, then lexicographic on
 exponent vectors, largest first), so every rendering of a value is
-deterministic.
+deterministic.  :func:`graded_bases` is the one enumerator of those bases:
+it forms each degree's monomials as packed keys from lower degrees, and
+:meth:`VariableContext.monomials_of_degree` unpacks its last degree.
 
 There are two ways to build a polynomial.  The public constructor validates
 its input (exponent arity, no negative exponents, coefficients normalised
@@ -26,7 +28,8 @@ addition and :func:`_convolve` multiplies ``{packed key: coefficient}``
 dicts.  ``**`` (binary powering), :meth:`RingMap.apply` (images and their
 power cache) and :func:`elementary_symmetric` pack their inputs once, work
 on ints throughout and unpack once into ``Polynomial._clean``;
-:func:`presented.graded_components` forms every degree's basis as packed keys.
+:func:`presented.graded_components` reads every degree's basis from
+:func:`graded_bases` as packed keys.
 :meth:`RingMap.apply` moves a one-term image ``c*x^a``, such as every image
 of a permutation of the variables, by exponent arithmetic alone: a source
 exponent ``e`` adds ``e*pack(a)`` to the key and multiplies the
@@ -136,12 +139,18 @@ class VariableContext:
     def weighted_degree(self, exponent: Exponent) -> int:
         return sum(map(operator.mul, exponent, self.weights))
 
+    @functools.lru_cache(maxsize=1024)
     def monomials_of_degree(self, d: int) -> tuple[Exponent, ...]:
-        """All exponent vectors of weighted degree d, graded-lex (largest first).
+        """All exponent vectors of weighted degree d, graded-lex (largest first):
+        the last table of :func:`graded_bases`, unpacked.
 
-        Memoised on the weights and the degree; the result is a shared tuple.
+        Memoised on the context and the degree; the result is a shared tuple.
         """
-        return _monomials_of_degree(self.weights, d)
+        if d < 0:
+            return ()
+        pack, unpack = packing(self.arity, d)
+        *_, keys = graded_bases(self.weights, d, pack)
+        return tuple(map(unpack, keys))
 
     def render_monomial(self, exponent: Exponent) -> str:
         factors = []
@@ -151,31 +160,6 @@ class VariableContext:
             elif e > 1:
                 factors.append(f"{name}^{e}")
         return "*".join(factors)
-
-
-@functools.lru_cache(maxsize=1024)
-def _monomials_of_degree(weights: tuple[int, ...], d: int) -> tuple[Exponent, ...]:
-    """The exponents of the last variable are not enumerated: the rest of
-    the degree fixes it, and it fits only when its weight divides that."""
-    if d < 0:
-        return ()
-    if not weights:
-        return ((),) if d == 0 else ()
-    out: list[Exponent] = []
-    last = len(weights) - 1
-    w_last = weights[last]
-
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]) -> None:
-        if i == last:
-            if remaining % w_last == 0:
-                out.append(prefix + (remaining // w_last,))
-            return
-        w = weights[i]
-        for e in range(remaining // w, -1, -1):
-            rec(i + 1, remaining - e * w, prefix + (e,))
-
-    rec(0, d, ())
-    return tuple(out)
 
 
 def context(names: Sequence[str], weights: Sequence[int] | None = None) -> VariableContext:
@@ -450,6 +434,28 @@ def packing(arity: int, top: int):
         return tuple([(key >> s) & mask for s in shifts])
 
     return pack, unpack
+
+
+def graded_bases(weights: Sequence[int], bound: int, pack):
+    """Yield the packed keys of the monomials of each weighted degree
+    ``0..bound``, graded-lex largest first: the one enumerator of monomial
+    bases.  ``pack`` comes from :func:`packing` with ``top >= bound``, which
+    holds every exponent, as no weight is below 1.
+
+    ``tables[i][d]`` holds those in the variables ``i..``: the keys of
+    ``tables[i][d - w_i]`` plus ``pack(e_i)``, then the smaller ones without
+    variable ``i``, ``tables[i + 1][d]``; so each key is one addition.
+    """
+    n = len(weights)
+    units = [pack(tuple(int(j == i) for j in range(n))) for i in range(n)]
+    tables: list[list[list[int]]] = [[] for _ in range(n)]
+    for d in range(bound + 1):
+        keys = [0] if d == 0 else []
+        for i in reversed(range(n)):
+            if d >= weights[i]:
+                keys = [k + units[i] for k in tables[i][d - weights[i]]] + keys
+            tables[i].append(keys)
+        yield keys
 
 
 def _convolve(a: dict[int, int], b: dict[int, int],

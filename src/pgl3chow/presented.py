@@ -5,9 +5,10 @@ lattice on degree-d generator monomials by the span of every product
 relation * monomial landing in degree d; since the relation ideal is
 homogeneous this span is exactly the ideal's degree-d part, so a Smith normal
 form gives the component's free rank and invariant factors without any
-Groebner machinery.  :func:`graded_components` walks the degrees once: each
-basis is a list of packed exponent keys formed from lower ones, and the
-products are sparse ``{column: value}`` rows over it, the input format of
+Groebner machinery.  :func:`graded_components` walks the degrees once,
+reading each basis as packed exponent keys from :func:`poly.graded_bases`,
+the one enumerator of monomial bases, and the products are sparse
+``{column: value}`` rows over it, the input format of
 :func:`intlinalg.invariant_factors`.
 
 Unit generators and implied relations are eliminated before any rows are
@@ -35,6 +36,7 @@ from .poly import (
     RingMap,
     VariableContext,
     context,
+    graded_bases,
     packing,
     parse,
 )
@@ -198,7 +200,7 @@ def graded_components(pres: RingPresentation, bound: int,
 
     One packing with ``top = bound`` serves the run: weights are at least 1,
     so no exponent reaches past ``bound``.  Each relation is weighed and
-    packed once, and each basis of :func:`_packed_bases` is kept for the
+    packed once, and each basis of :func:`poly.graded_bases` is kept for the
     later degrees.  The row of ``rel * mono`` maps the index of ``mono + e``
     to the coefficient of each term ``e`` of ``rel``; distinct terms land on
     distinct monomials, so a row has one entry per term of its relation.
@@ -210,7 +212,7 @@ def graded_components(pres: RingPresentation, bound: int,
         if degree is not None and degree <= bound:
             relations.append((degree, [(pack(e), c) for e, c in rel.terms.items()]))
     bases: list[list[int]] = []
-    for d, basis in enumerate(_packed_bases(pres.context.weights, bound, pack)):
+    for d, basis in enumerate(graded_bases(pres.context.weights, bound, pack)):
         bases.append(basis)
         index = dict(zip(basis, range(len(basis))))
         rows = [{index[key + k]: c for k, c in terms}
@@ -220,26 +222,6 @@ def graded_components(pres: RingPresentation, bound: int,
             rows, len(basis), dense_limit) if x]
         yield GradedComponent(d, len(basis) - len(nonzero),
                               tuple(x for x in nonzero if x > 1))
-
-
-def _packed_bases(weights: Sequence[int], bound: int, pack):
-    """Yield the packed keys of each degree ``0..bound``'s monomials, largest
-    first as in :meth:`poly.VariableContext.monomials_of_degree`.
-
-    ``tables[i][d]`` holds those in the variables ``i..``: the keys of
-    ``tables[i][d - w_i]`` plus ``pack(e_i)``, then the smaller ones without
-    variable ``i``, ``tables[i + 1][d]``; so each key is one addition.
-    """
-    n = len(weights)
-    units = [pack(tuple(int(j == i) for j in range(n))) for i in range(n)]
-    tables: list[list[list[int]]] = [[] for _ in range(n)]
-    for d in range(bound + 1):
-        keys = [0] if d == 0 else []
-        for i in reversed(range(n)):
-            if d >= weights[i]:
-                keys = [k + units[i] for k in tables[i][d - weights[i]]] + keys
-            tables[i].append(keys)
-        yield keys
 
 
 def rstar_presentation() -> RingPresentation:

@@ -22,11 +22,9 @@ from . import intlinalg
 from .poly import (
     INTEGERS,
     CoefficientRing,
-    ContextMismatchError,
     NotHomogeneousError,
     Polynomial,
     RingMap,
-    RingMismatchError,
     VariableContext,
     context,
     elementary_symmetric,
@@ -229,55 +227,45 @@ def express_in(target: Polynomial, gens: Mapping[str, Polynomial]) -> ExpressRes
     target's degree from :func:`poly.power_product_rows`, which forms that
     degree alone and makes the one test of the generators' homogeneity, and
     the target's coordinates are read off the same degree's monomial basis.
-    Every generator must be a nonzero homogeneous polynomial over the
-    target's context and ring.  One call to
-    :func:`intlinalg.solve_left_rational` gives the canonical coordinate
-    vector: when several expressions exist, its entries at the pivots of the
-    syzygy lattice's Hermite form, in graded-lex coordinate order, are
-    reduced, so the result is deterministic.
+    There must be at least one generator, and every generator must be a
+    nonzero homogeneous polynomial over the target's context and ring.  One
+    call to :func:`intlinalg.solve_left_rational` gives the canonical
+    coordinate vector: when several expressions exist, its entries at the
+    pivots of the syzygy lattice's Hermite form, in graded-lex coordinate
+    order, are reduced, so the result is deterministic.
     When only a rational combination exists it is reported in
     ``rational_expression``, each coefficient a reduced fraction (``1/3``,
     ``-1/2``), and ``ok`` is False.
     """
+    if not gens:
+        raise ExpressError("no generators to express in")
     names = list(gens)
     polys = [gens[n] for n in names]
     for name, g in zip(names, polys):
         if not g:
             raise ExpressError(f"generator {name} is not homogeneous and nonzero")
-        if g.context != target.context:
-            raise ContextMismatchError(
-                f"contexts differ: {target.context.names} vs {g.context.names}")
-        if g.ring != target.ring:
-            raise RingMismatchError(f"rings differ: {target.ring} vs {g.ring}")
+        target._check_compatible(g)
     # A generator's degree is read off one term; power_product_rows tests
     # every term against it, the one homogeneity pass.
     degrees = [g.context.weighted_degree(next(iter(g.terms))) for g in polys]
     gen_ctx = context(names, degrees)
-    target_degrees = set(map(target.context.weighted_degree, target.terms))
-    wanted = ({d: gen_ctx.monomials_of_degree(d) for d in target_degrees}
-              if len(target_degrees) == 1 else {})
-    if polys:
-        try:
-            spans = power_product_rows(polys, degrees, wanted)
-        except NotHomogeneousError:
-            name = next(n for n, g, w in zip(names, polys, degrees)
-                        if not g.is_homogeneous(w))
-            raise ExpressError(
-                f"generator {name} is not homogeneous and nonzero") from None
-    if not target_degrees:
+    d = target.weighted_degree() if target.is_homogeneous() else None
+    wanted = {} if d is None else {d: gen_ctx.monomials_of_degree(d)}
+    try:
+        spans = power_product_rows(polys, degrees, wanted)
+    except NotHomogeneousError:
+        name = next(n for n, g, w in zip(names, polys, degrees)
+                    if not g.is_homogeneous(w))
+        raise ExpressError(
+            f"generator {name} is not homogeneous and nonzero") from None
+    if not target:
         return ExpressResult(Polynomial.zero(gen_ctx, target.ring), None)
-    if len(target_degrees) != 1:
+    if d is None:
         raise ExpressError("target is not homogeneous")
-    (d_target,) = target_degrees
-
-    monomials = wanted[d_target]
-    basis = target.context.monomials_of_degree(d_target)
-    t_vec = [target.terms.get(e, 0) for e in basis]
-    if polys:
-        _, sparse = spans[d_target]
-    else:  # the empty product 1 is the one monomial in no generators
-        sparse = [{0: 1}] if d_target == 0 else []
-    rows = [[row.get(j, 0) for j in range(len(basis))] for row in sparse]
+    monomials = wanted[d]
+    width, sparse = spans[d]
+    _, t_vec = target.coefficient_vector(d)
+    rows = [[row.get(j, 0) for j in range(width)] for row in sparse]
     # x = y/g; g == 0 means no rational solution, and then no terms either.
     y, g = intlinalg.solve_left_rational(t_vec, rows) or ((), 0)
     if g != 1:

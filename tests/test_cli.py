@@ -11,7 +11,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from pgl3chow import cli, intlinalg, presented
+from pgl3chow import cli, intlinalg, poly, presented
 from pgl3chow.config import (
     MAX_BASIS_WIDTH,
     MAX_DEGREE,
@@ -237,8 +237,9 @@ class TestHilbert:
                                                     monkeypatch):
         # Twelve generators of degree 1 have C(75, 11), about 4.9e12,
         # monomials in degree 64; the count from the degrees alone stops the
-        # run at degree 5, before a single monomial is enumerated, as tuples
-        # or as packed keys.
+        # run at degree 5, before a single monomial is enumerated: the one
+        # enumerator is refused where it is bound, and so is the memoised
+        # tuple basis, which a cached degree would answer without it.
         cfg = tmp_path / "wide.cfg"
         cfg.write_text("[presentation wide]\ngenerators = "
                        + " ".join(f"g{i}:1" for i in range(12))
@@ -248,7 +249,8 @@ class TestHilbert:
             raise AssertionError("monomials enumerated")
 
         monkeypatch.setattr(VariableContext, "monomials_of_degree", refuse)
-        monkeypatch.setattr(presented, "_packed_bases", refuse)
+        monkeypatch.setattr(poly, "graded_bases", refuse)
+        monkeypatch.setattr(presented, "graded_bases", refuse)
         code, out, err = run_cli(capsys, "hilbert", "--spec", str(cfg),
                                  "--max-degree", "64")
         assert code == 2
@@ -423,9 +425,13 @@ class TestConfigFile:
                            "run 'pgl3chow list'\n")
 
     def test_bad_config_path_exits_2(self, capsys, tmp_path):
-        # An empty path is a path given: it is read, and fails, like hilbert's
-        # --spec ''.
-        for path in (str(tmp_path / "absent.cfg"), ""):
-            code, out, err = run_cli(capsys, "--config", path, "list")
-            assert (code, out) == (2, "")
-            assert err.startswith(f"error: cannot read config {path!r}: ")
+        # An empty path is a path given: it is read, and fails.  A UTF-16
+        # byte order mark is no UTF-8, so that file cannot be read either.
+        utf16 = tmp_path / "utf16.cfg"
+        utf16.write_bytes(b"\xff\xfe" + "[options]\n".encode("utf-16-le"))
+        for path in (str(tmp_path / "absent.cfg"), "", str(utf16)):
+            for argv in (("--config", path, "list"),
+                         ("hilbert", "--spec", path, "--max-degree", "2")):
+                code, out, err = run_cli(capsys, *argv)
+                assert (code, out) == (2, ""), argv
+                assert err.startswith(f"error: cannot read config {path!r}: "), argv

@@ -9,8 +9,9 @@ the Molien ranks of all 65 degrees) and ``rstar_structure_N.json`` that of
 64 (the input limit, pinning the torsion table of all 65 degrees), each with
 every result's ``elapsed_ms`` key (in text, each ``(N.N ms)``) removed,
 the one field that varies between runs; ``hilbert_rstar_N.txt`` is
-``hilbert --spec builtin:Rstar --max-degree N`` for N = 20, 32 and 48, the
-last two pinning the torsion of degrees 21-32 and 33-48.
+``hilbert --spec builtin:Rstar --max-degree N`` for N = 20, 32, 48 and 64,
+the last three pinning the torsion of degrees 21-32, 33-48 and 49-64; 64 is
+the input limit and the widest basis the enumerator builds.
 ``check_all_planted.json`` holds, for each fault of ``PLANTS`` planted on
 its own, the exit code and the ``check --all --format json`` report without
 ``elapsed_ms``: the counterexample witnesses that a passing run never
@@ -69,7 +70,7 @@ def test_check_all_text_bytes(capsys):
 
 
 def test_hilbert_rstar_bytes(capsys):
-    for bound in (20, 32, 48):
+    for bound in (20, 32, 48, 64):
         code, out = run_cli(capsys, "hilbert", "--spec", "builtin:Rstar",
                             "--max-degree", str(bound))
         assert code == 0

@@ -19,11 +19,14 @@ Which elements of a group move a polynomial is asked through
 ``MatrixGroup.movers``, which acts with certified generators first; a loop
 over ``labels()`` that calls ``act`` would act with every element again.
 
-The graded components of a presented ring come from one loop over the
-degrees, which packs once for the run and forms each degree's basis from
-lower ones as packed keys: ``presented`` names neither the tuple enumerator
-``monomials_of_degree`` nor a one-degree ``graded_component``, and calls
-``packing`` in no loop.
+Monomial bases have one enumerator, ``poly.graded_bases``: no other module
+defines a function named for monomials or bases, and in ``poly`` the
+memoised ``monomials_of_degree`` unpacks what ``graded_bases`` yields.  The
+graded components of a presented ring come from one loop over the degrees,
+which packs once for the run and reads each degree's basis from
+``graded_bases`` as packed keys: ``presented`` names neither the tuple
+basis ``monomials_of_degree`` nor a one-degree ``graded_component``, and
+calls ``packing`` in no loop.
 
 Solves hand back integers, so importing the command line front end loads
 neither ``fractions`` nor the ``decimal`` that ``fractions`` imports.  The
@@ -32,6 +35,7 @@ test asks a fresh interpreter, because the test session may load both.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 
@@ -126,3 +130,23 @@ def test_presented_packs_once_and_builds_no_basis_per_degree():
             for call in ast.walk(loop)
             if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
             and call.func.id == "packing"] == []
+
+
+ENUMERATOR_NAME = re.compile(r"monomials|bases")
+
+
+def _functions(path):
+    """Every function of the file at any depth, methods and nested helpers
+    included."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+
+def test_only_poly_defines_a_basis_enumerator():
+    assert sorted(f"{path.name}:{f.name}" for path in SRC.glob("*.py")
+                  for f in _functions(path) if ENUMERATOR_NAME.search(f.name)) \
+        == ["poly.py:graded_bases", "poly.py:monomials_of_degree"]
+    (method,) = [f for f in _functions(SRC / "poly.py")
+                 if f.name == "monomials_of_degree"]
+    assert any(isinstance(node, ast.Name) and node.id == "graded_bases"
+               for node in ast.walk(method))

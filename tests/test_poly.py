@@ -12,7 +12,6 @@ from pgl3chow.poly import (
     PolynomialParseError,
     RingMap,
     RingMismatchError,
-    _monomials_of_degree,
     context,
     integers_mod,
     packing,
@@ -336,9 +335,9 @@ class TestPackedKernels:
 def recursive_monomials(weights, bound):
     """The exponent vectors of weighted degree ``d``, graded-lex largest
     first, for each ``d = 0..bound``: every exponent of every variable is
-    tried in turn, the last one included.  The recursion that
-    ``_monomials_of_degree`` replaced, run once for all degrees, kept as an
-    oracle for its order and content."""
+    tried in turn, the last one included.  A recursion on tuples, run once
+    for all degrees, kept as an oracle for the order and content of
+    :func:`graded_bases`."""
     by_degree = [[] for _ in range(bound + 1)]
 
     def rec(i, degree, prefix):
@@ -354,13 +353,13 @@ def recursive_monomials(weights, bound):
 
 class TestGrading:
     def test_monomials_match_the_recursive_enumerator(self):
-        enumerate_uncached = _monomials_of_degree.__wrapped__
         for weights in ((2, 3, 4, 6, 6), (2, 3, 4, 6, 6, 8), (1, 1),
                         (1, 1, 1), (2, 3), ()):
+            ctx = context([f"v{i}" for i in range(len(weights))], weights)
             expected = recursive_monomials(weights, 80)
             for d in range(81):
-                assert enumerate_uncached(weights, d) == expected[d], (weights, d)
-            assert enumerate_uncached(weights, -1) == ()
+                assert ctx.monomials_of_degree(d) == expected[d], (weights, d)
+            assert ctx.monomials_of_degree(-1) == ()
 
     def test_coefficient_vector_example(self):
         x1, x2, _ = xvars()
