@@ -8,17 +8,18 @@ works on copies, so shared rows come back unchanged; everything else works
 on row-major ``list[list[int]]`` matrices.
 
 Two eliminations, one job each.  The Smith elimination gives invariant
-factors only and builds no transform: :func:`invariant_factors` takes the
-content of the remainder first and divides it out when it is above 1
-(SNF(g·B) = g·SNF(B)), then sweeps the rows once for ±1 pivots, deleting
-each pivot's row and column, and repeats; a content above 1 leaves no unit
-to find, so no sweep is wasted.  Only a remainder of content 1 in which a
-sweep finds no unit goes through the dense elimination, which pivots on the
-minimal nonzero entry, taking the first unit it meets; a caller can cap the
-width of that remainder, the one cost that no input bound limits.  The
-Hermite elimination is the only one with a transform, and every solve and
-kernel reads it (Cohen, *A Course in Computational Algebraic Number
-Theory*, 1993, §2.4): :func:`hermite_normal_form` returns
+factors only and builds no transform: :func:`invariant_factors` retires
+each singleton row ``±g·e_j``, ``g`` the content of all rows, before it
+indexes the rest, then takes the content ``g`` of the remainder and sweeps
+the rows once for ±g pivots (SNF(g·B) = g·SNF(B)), deleting each pivot's
+row and column, and repeats; nothing is divided, and no sweep is spent on
+rows that cannot hold a pivot.  Only a remainder in which a sweep finds no
+pivot goes, divided by its content, through the dense elimination, which
+pivots on the minimal nonzero entry, taking the first unit it meets; a
+caller can cap the width of that remainder, the one cost that no input
+bound limits.  The Hermite elimination is the only one with a transform,
+and every solve and kernel reads it (Cohen, *A Course in Computational
+Algebraic Number Theory*, 1993, §2.4): :func:`hermite_normal_form` returns
 the canonical row-echelon form (positive pivots, entries above a pivot
 reduced into ``[0, pivot)``) with a unimodular ``u``;
 :func:`left_kernel` returns the rows of ``u`` beyond the rank, certified by
@@ -213,26 +214,39 @@ def invariant_factors(rows: Sequence[SparseRow], cols: int,
     works on copies of the rows (``dict(row)``, O(nonzeros) each; zero
     values dropped), so the caller's rows come back unchanged.
 
-    Each round first takes the content ``g`` of the remainder, a gcd that
-    stops at the first row that brings it to 1; when ``g > 1`` the remainder
-    is divided by ``g`` and the scale multiplied by ``g``, which is exact
-    because SNF(g·B) = g·SNF(B).  Then one sweep eliminates pivots of value
-    ±1, deleting each pivot's row and column; each contributes one factor
-    equal to the scale.  Taking the content first gives the factors a
-    sweep-first order would: a content above 1 rules out a unit, and after
-    the division the content is 1.  So a sweep that finds no unit ends the
-    rounds, and only that remainder, of content 1 without a unit, goes to
+    The load pass takes the content ``g`` of all rows and sets aside,
+    uncopied, each row with one nonzero entry.  A singleton ``±g·e_j`` is a
+    pivot that clears column ``j`` from every other row and touches nothing
+    else, as ``g`` divides every entry; so each distinct such column is
+    deleted from the copied rows for one factor ``g``, and the other
+    singletons join them unless their column went.  Each round then sweeps
+    once for pivots ``±g``, ``g`` the content of the remainder, deleting each
+    pivot's row and column for one factor ``g`` (SNF(g·B) = g·SNF(B)), and
+    takes the content again, a gcd that stops at the first row that brings
+    it to 1.  This gives the factors a sweep-first order would: a content
+    above 1 rules out a unit.  A sweep that finds no pivot ends the rounds,
+    and only that remainder, divided by its content as it is built, goes to
     the dense Smith elimination, which builds no transform; if it has more
     than ``dense_limit`` columns, :class:`DenseWidthError` is raised before
     the elimination starts.
     """
     live: dict[int, dict[int, int]] = {}
     where: dict[int, set[int]] = {}  # column -> live rows nonzero there
+    singles: list[tuple[int, int, int]] = []  # (row, column, value)
+    g = 0
     for i, row in enumerate(rows):
+        if len(row) == 1:
+            for j, x in row.items():
+                if x:
+                    singles.append((i, j, x))
+                    g = math.gcd(g, x)
+            continue
         entries = dict(row)
         if 0 in entries.values():
             entries = {j: x for j, x in entries.items() if x}
         if entries:
+            if g != 1:
+                g = math.gcd(g, *entries.values())
             live[i] = entries
             for j in entries:
                 rows_at = where.get(j)
@@ -240,51 +254,71 @@ def invariant_factors(rows: Sequence[SparseRow], cols: int,
                     where[j] = {i}
                 else:
                     rows_at.add(i)
-    if where and (min(where) < 0 or max(where) >= cols):
+    used = where.keys() | {j for _, j, _ in singles} if singles else where
+    if used and (min(used) < 0 or max(used) >= cols):
         raise DimensionMismatchError(f"a row has a column outside 0..{cols - 1}")
     factors: list[int] = []
-    scale = 1
+    if singles:
+        pivots = {j for _, j, x in singles if x == g or x == -g}
+        for j in pivots:
+            for k in where.pop(j, ()):
+                row = live[k]
+                del row[j]
+                if not row:
+                    del live[k]
+        for i, j, x in singles:
+            if j not in pivots:
+                live[i] = {j: x}
+                where.setdefault(j, set()).add(i)
+        if pivots:
+            factors = [g] * len(pivots)
+            g = _content(live)
     while live:
-        g = 0
-        for entries in live.values():
-            g = math.gcd(g, *entries.values())
-            if g == 1:
-                break
-        if g > 1:
-            for entries in live.values():
-                for j in entries:
-                    entries[j] //= g
-            scale *= g
-        found = _unit_pivots(live, where)
+        found = _unit_pivots(live, where, g)
         if not found:
             break
-        factors.extend([scale] * found)
+        factors.extend([g] * found)
+        g = _content(live)
     if live:
         rest = sorted(where)
         if dense_limit is not None and len(rest) > dense_limit:
             raise DenseWidthError(len(rest), dense_limit)
-        dense = [[entries.get(j, 0) for j in rest] for entries in live.values()]
+        dense = [[entries.get(j, 0) // g for j in rest]
+                 for entries in live.values()]
         diag = _smith_reduce(dense)
-        factors.extend(scale * x for x in diag if x)
+        factors.extend(g * x for x in diag if x)
     return tuple(factors) + (0,) * (min(len(rows), cols) - len(factors))
 
 
+def _content(live: dict[int, dict[int, int]]) -> int:
+    """The gcd of the entries of ``live`` (0 if none), stopping once it is 1."""
+    g = 0
+    for entries in live.values():
+        g = math.gcd(g, *entries.values())
+        if g == 1:
+            break
+    return g
+
+
 def _unit_pivots(live: dict[int, dict[int, int]],
-                 where: dict[int, set[int]]) -> int:
-    """One sweep over the rows, eliminating on ±1 entries; return how many.
+                 where: dict[int, set[int]], unit: int) -> int:
+    """One sweep over the rows, eliminating on entries ``±unit``, where
+    ``unit`` divides every entry; return how many.
 
     Each pivot row and column is deleted from ``live`` and ``where``.  Row
     ``k`` loses ``q`` times the pivot row, where ``q`` clears its entry in the
-    pivot column; that column is then zero off the pivot, so the column
-    operations that clear the rest of the pivot row touch nothing else.  Of a
-    row's units the one in the sparsest column is taken, to limit fill-in.
+    pivot column; that column is then zero off the pivot, and ``unit``
+    divides the rest of the pivot row, so the column operations that clear
+    it touch nothing else.  Of a row's pivot entries the one in the sparsest
+    column is taken, to limit fill-in.
     """
+    neg = -unit
     count = 0
     for i in list(live):
         prow = live.get(i)
         if prow is None:
             continue
-        units = [j for j, x in prow.items() if x == 1 or x == -1]
+        units = [j for j, x in prow.items() if x == unit or x == neg]
         if not units:
             continue
         j = (units[0] if len(units) == 1
@@ -297,7 +331,7 @@ def _unit_pivots(live: dict[int, dict[int, int]],
         targets.discard(i)
         for k in targets:
             row = live[k]
-            q = row.pop(j) * u
+            q = row.pop(j) // u
             for c, x in prow.items():
                 v = row.get(c, 0) - q * x
                 if v:

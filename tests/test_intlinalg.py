@@ -148,8 +148,8 @@ class TestSmith:
 
 class TestInvariantFactors:
     def test_content_division_needs_no_dense_form(self, monkeypatch):
-        # No unit: divide by the content 2, pivot on the 1, and the 1x1
-        # remainder -2 has content 2 again.
+        # No unit: pivot on the 2, the content, and the 1x1 remainder -4
+        # has content 4.
         def dense(a):
             raise AssertionError("dense Smith form reached")
         monkeypatch.setattr(la, "_smith_reduce", dense)
@@ -165,8 +165,9 @@ class TestInvariantFactors:
             seen.append(rest)
             return dense(rest)
         monkeypatch.setattr(la, "_smith_reduce", spy)
-        # Content 2, one unit pivot, then [[2, 3], [3, 2]]: content 1 and
-        # no unit, so it goes to the dense form, scaled back by 2.
+        # Content 2: the singleton 2·e_0 retires column 0, and what is
+        # left, 2·[[2, 3], [3, 2]], has content 2 and no pivot ±2, so it
+        # goes to the dense form divided by 2 and is scaled back by 2.
         assert dense_invariant_factors(a) == expected == (2, 2, 10)
         assert seen == [[[2, 3], [3, 2]]]
 
@@ -189,9 +190,11 @@ class TestInvariantFactors:
             la.invariant_factors([{-1: 1}], 2)
 
     def test_input_rows_unchanged(self):
-        # Unit pivots, content division and the dense remainder all run on
+        # Singletons, unit pivots and the dense remainder all run on
         # copies: rows shared between the two routes must survive both.
-        rows = [{0: 2, 1: 4}, {0: 6, 2: 8}, {1: 1, 2: -1}, {}, {2: 3, 3: 9}]
+        # The singleton e_3 retires column 3 of {2: 3, 3: 9}; 3·e_1 joins.
+        rows = [{0: 2, 1: 4}, {0: 6, 2: 8}, {1: 1, 2: -1}, {}, {2: 3, 3: 9},
+                {3: 1}, {1: 3}]
         before = [dict(row) for row in rows]
         assert la.invariant_factors(rows, 4) == smith_diag(
             [[row.get(j, 0) for j in range(4)] for row in rows])
@@ -211,7 +214,7 @@ def sweep_first_invariant_factors(rows, cols):
             where.setdefault(j, set()).add(i)
     factors, scale = [], 1
     while live:
-        found = la._unit_pivots(live, where)
+        found = la._unit_pivots(live, where, 1)
         factors.extend([scale] * found)
         if found:
             continue
@@ -233,21 +236,63 @@ def count_sweeps(monkeypatch):
     sweeps = []
     real = la._unit_pivots
 
-    def spy(live, where):
-        sweeps.append(real(live, where))
+    def spy(live, where, unit):
+        sweeps.append(real(live, where, unit))
         return sweeps[-1]
 
     monkeypatch.setattr(la, "_unit_pivots", spy)
     return sweeps
 
 
+def singleton_rows(rng, trials=200):
+    """Matrices ``(rows, cols)`` of content ``g`` with singleton rows.
+
+    Each column of ``pivots`` holds a singleton ``±g``, one of them two; a
+    singleton ``2g``, ``-3g`` or ``6g`` sits on a pivot column, and a zero
+    singleton ``{j: 0}`` anywhere.  Off the pivot columns every entry is a
+    multiple of ``g·h``: each ``lead`` row has ``±g·h`` on a column of its
+    own and ``±2g·h`` or ``±3g·h`` on ``free`` columns, and ``free`` columns
+    may hold singletons ``±g·h``.  So once the pivot columns go, the content
+    rises from ``g`` to ``g·h``, and every row left has a pivot ``±g·h``: no
+    dense elimination is needed.
+    """
+    for _ in range(trials):
+        g, h = rng.choice((1, 2, 3)), rng.choice((1, 2, 3))
+        m = rng.randint(2, 8)
+        cols = rng.sample(range(m), m)
+        p = rng.randint(1, m - 1)
+        pivots, rest = cols[:p], cols[p:]
+        lead = rest[:rng.randint(0, len(rest))]
+        free = rest[len(lead):]
+        rows = [{j: rng.choice((g, -g))} for j in pivots]
+        rows.append({rng.choice(pivots): rng.choice((g, -g))})
+        rows.append({rng.choice(pivots): rng.choice((2, -3, 6)) * g})
+        rows.append({rng.randrange(m): 0})
+        for c in lead:
+            row = {c: rng.choice((1, -1)) * g * h}
+            row.update((f, rng.choice((2, -2, 3, -3)) * g * h)
+                       for f in free if rng.random() < 0.5)
+            row.update((j, rng.randint(-4, 4) * g)
+                       for j in pivots if rng.random() < 0.5)
+            rows.append(row)
+        for _ in range(rng.randint(0, 2)):
+            rows.append({j: rng.randint(-4, 4) * g for j in pivots})
+        rows.extend({f: rng.choice((1, -1)) * g * h}
+                    for f in free if rng.random() < 0.5)
+        rng.shuffle(rows)
+        yield [{j: x for j, x in row.items() if x or len(row) == 1}
+               for row in rows], m
+
+
 class TestContentFirst:
-    """``invariant_factors`` divides out the content before each sweep for
-    units, so a sweep is never spent on rows that cannot hold a unit."""
+    """``invariant_factors`` takes the content before each sweep and pivots
+    on ±content, so a sweep is never spent on rows that cannot hold a pivot,
+    and the singleton rows ±content·e_j are retired before any sweep."""
 
     def test_rstar_degree_28_takes_one_sweep(self, monkeypatch):
-        # Every row of the eliminated R* presentation has content 3; after
-        # dividing it out, one sweep pivots on every row of the rank.
+        # Every row of the eliminated R* presentation has content 3.  The
+        # singletons 3·e_j retire their columns before the sweep, and one
+        # sweep on ±3 pivots on every other row of the rank.
         basis, rows = tuple_relation_rows(
             eliminate_unit_generators(rstar_presentation()), 28)
         expected = sweep_first_invariant_factors(rows, len(basis))
@@ -255,7 +300,10 @@ class TestContentFirst:
         factors = la.invariant_factors(rows, len(basis))
         assert factors == expected
         assert set(factors) == {3, 0}
-        assert sweeps == [sum(1 for f in factors if f)]
+        singles = {j for row in rows if len(row) == 1
+                   for j, x in row.items() if abs(x) == 3}
+        assert singles and len(sweeps) == 1
+        assert sweeps[0] + len(singles) == sum(1 for f in factors if f)
 
     def test_content_after_unit_eliminations(self, monkeypatch):
         # Content 1 at first; eliminating the unit of row 0 leaves content
@@ -277,7 +325,8 @@ class TestContentFirst:
 
     def test_matches_the_sweep_first_order(self):
         # Rows of a few contents, each with a unit after dividing, mixed so
-        # that contents appear only after the units of other rows go.
+        # that contents appear only after the units of other rows go; then
+        # the singleton family, whose remainder needs no dense elimination.
         rng = random.Random(16)
         for _ in range(200):
             n, m = rng.randint(1, 6), rng.randint(1, 6)
@@ -288,6 +337,10 @@ class TestContentFirst:
                 rows.append({j: x for j, x in row.items() if x})
             dense = [[row.get(j, 0) for j in range(m)] for row in rows]
             assert la.invariant_factors(rows, m) \
+                == sweep_first_invariant_factors(rows, m) == smith_diag(dense)
+        for rows, m in singleton_rows(random.Random(7)):
+            dense = [[row.get(j, 0) for j in range(m)] for row in rows]
+            assert la.invariant_factors(rows, m, dense_limit=0) \
                 == sweep_first_invariant_factors(rows, m) == smith_diag(dense)
 
 
