@@ -217,18 +217,16 @@ def invariant_factors(rows: Sequence[SparseRow], cols: int,
     The load pass takes the content ``g`` of all rows and sets aside,
     uncopied, each row with one nonzero entry.  A singleton ``±g·e_j`` is a
     pivot that clears column ``j`` from every other row and touches nothing
-    else, as ``g`` divides every entry; so each distinct such column is
-    deleted from the copied rows for one factor ``g``, and the other
-    singletons join them unless their column went.  Each round then sweeps
-    once for pivots ``±g``, ``g`` the content of the remainder, deleting each
-    pivot's row and column for one factor ``g`` (SNF(g·B) = g·SNF(B)), and
-    takes the content again, a gcd that stops at the first row that brings
-    it to 1.  This gives the factors a sweep-first order would: a content
-    above 1 rules out a unit.  A sweep that finds no pivot ends the rounds,
-    and only that remainder, divided by its content as it is built, goes to
-    the dense Smith elimination, which builds no transform; if it has more
-    than ``dense_limit`` columns, :class:`DenseWidthError` is raised before
-    the elimination starts.
+    else, so each distinct such column is deleted from the copied rows for
+    one factor ``g``; the other singletons join them unless their column
+    went.  Each round then sweeps once for pivots ``±g``, ``g`` the content
+    of the remainder (a gcd that stops at 1), deleting each pivot's row and
+    column for one factor ``g``, as SNF(g·B) = g·SNF(B): the factors a
+    sweep-first order would give, since a content above 1 rules out a unit.
+    Only a remainder in which a sweep finds no pivot goes, divided by its
+    content, to the dense Smith elimination, which builds no transform; if
+    it has more than ``dense_limit`` columns, :class:`DenseWidthError` is
+    raised before the elimination starts.
     """
     live: dict[int, dict[int, int]] = {}
     where: dict[int, set[int]] = {}  # column -> live rows nonzero there
@@ -283,8 +281,9 @@ def invariant_factors(rows: Sequence[SparseRow], cols: int,
         rest = sorted(where)
         if dense_limit is not None and len(rest) > dense_limit:
             raise DenseWidthError(len(rest), dense_limit)
-        dense = [[entries.get(j, 0) // g for j in rest]
-                 for entries in live.values()]
+        dense = [[entries.get(j, 0) for j in rest] for entries in live.values()]
+        if g > 1:
+            dense = [[x // g for x in row] for row in dense]
         diag = _smith_reduce(dense)
         factors.extend(g * x for x in diag if x)
     return tuple(factors) + (0,) * (min(len(rows), cols) - len(factors))
