@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import time
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -52,8 +51,8 @@ from .poly import (
     power_product_rows,
 )
 from .presented import (
-    RingPresentation,
     eliminate_unit_generators,
+    free_summand_certificate,
     graded_components,
     partition_series,
     rstar_presentation,
@@ -810,9 +809,9 @@ _RSTAR_MOD3_DEGREES = (2, 3, 4, 6, 6)
 
 
 def _check_rstar_structure(run: _Run, bound: int) -> tuple[bool, Witnesses]:
-    """Certify the graded components of ``R*``: in every degree by a proof
-    whose hypotheses are checked once, and degree by degree up to ``bound``
-    against the closed-form table, free rank and whole torsion.
+    """Certify the graded components of ``R*``: in every degree by
+    :func:`presented.free_summand_certificate`, and degree by degree up to
+    ``bound`` against the closed-form table, free rank and whole torsion.
 
     * ``R* ⊗ Q = Q[lam, c3]``, so the free rank of ``R*_d`` is
       ``f_d = [t^d] 1/((1-t^2)(1-t^3))``.
@@ -823,18 +822,19 @@ def _check_rstar_structure(run: _Run, bound: int) -> tuple[bool, Witnesses]:
     * ``R*_d/3`` has one ``F3`` per free summand and per cyclic summand of
       order divisible by 3.  So ``R*_d`` has ``m_d - f_d`` such summands,
       and when every invariant factor is 3 its torsion is exactly
-      ``(Z/3)^(m_d - f_d)``: a table derived in closed form, which the
-      Smith invariant factors of the relation rows must match.
+      ``(Z/3)^(m_d - f_d)``.
 
     :func:`presented.eliminate_unit_generators` uses up ``rho^2 - c8`` and
-    drops the implied ``3*rho^2`` once, before the degree loop, leaving
-    ``3*rho``, ``3*chi`` and ``3q`` over ``lam, c3, rho, chi, c6`` with
-    ``q = 27*c6 - c3^2 - 4*lam^3``.  On that presentation
-    :func:`_every_degree_failure` checks the hypotheses of a proof that the
-    table holds in every degree.  A failed hypothesis adds one
-    counterexample witness after those of the degree loop, which stays as
-    the cross-check; a degree off the table adds a counterexample witness.
-    A pass adds neither.
+    drops the implied ``3*rho^2``, leaving 3 times ``rho``, ``chi`` and
+    ``q = 27*c6 - c3^2 - 4*lam^3``.  Then the certificate gives ``R*_d =
+    Z^(s_d) ⊕ (Z/c)^(n_d - s_d)`` in every degree, which with ``c = 3`` is
+    the table when ``s_d = f_d`` and ``n_d = m_d``.  These are identities
+    of quotients of products of ``(1 - t^k)``, which are equal only when
+    their multisets of ``k`` are (once common factors cancel, the largest
+    ``k`` left brings a cyclotomic factor that the other side lacks), so
+    the degrees are compared as multisets.  A failed hypothesis adds one
+    counterexample witness after those of the degree loop, and a degree off
+    the table adds one; a pass adds neither.
     """
     pres = eliminate_unit_generators(rstar_presentation())
     free_ranks = partition_series(_RSTAR_FREE_DEGREES, bound)
@@ -842,6 +842,8 @@ def _check_rstar_structure(run: _Run, bound: int) -> tuple[bool, Witnesses]:
     ok = True
     wit: Witnesses = []
     lines = []
+    # Cross-check: the Smith table below and the certificate after it share
+    # no algorithm.
     for d, comp in enumerate(graded_components(pres, bound)):
         expected = free_ranks[d]
         lines.append(f"{d}: {comp.render()}")
@@ -860,68 +862,23 @@ def _check_rstar_structure(run: _Run, bound: int) -> tuple[bool, Witnesses]:
             wit.append(("counterexample degree-4 torsion",
                         f"invariant factors {comp.torsion}, expected (3,) to "
                         f"match H^8 = Z + Z/3"))
-    failure = _every_degree_failure(pres)
+    cert = free_summand_certificate(pres)
+    if isinstance(cert, str):
+        failure = cert
+    elif cert[0] != 3:
+        failure = "the content is 3"
+    elif not (sorted(cert[1] + _RSTAR_FREE_DEGREES) == sorted(
+            pres.context.weights) == sorted(_RSTAR_MOD3_DEGREES)):
+        failure = ("the leading degrees plus 2, 3 and the generator degrees "
+                   "are both 2, 3, 4, 6, 6")
+    else:
+        failure = None
     if failure is not None:
         ok = False
         wit.append(("counterexample every-degree proof",
                     f"hypothesis fails: {failure}"))
     wit.append(("graded components", "; ".join(lines)))
     return ok, wit
-
-
-def _every_degree_failure(pres: RingPresentation) -> str | None:
-    """The first hypothesis of the every-degree proof that ``pres`` fails,
-    or None when the rstar-structure table holds in every degree.
-
-    Call a generator split if some relation is 3 times it, and a monomial
-    split if it contains a split generator.  The hypotheses:
-
-    1. every relation has content exactly 3, so ``R_d = Z^n / 3·J_d``
-       where ``J_d`` is spanned by the primitive parts times monomials;
-    2. each primitive part is a split generator, except exactly one, ``q``,
-       with no split generator in any term; then ``J_d`` is every split
-       coordinate plus the rows ``q·m`` for non-split ``m``;
-    3. ``q`` has a unit coefficient on the one term of highest exponent in
-       some generator; ordering monomials by that exponent first, the rows
-       ``q·m`` have distinct leading terms with unit coefficients, so
-       ``J_d`` is saturated and ``R_d = Z^(n_d - k_d) ⊕ (Z/3)^k_d``;
-    4. the non-split generators have the degrees 2, 3 and ``deg q``, so the
-       free rank ``n_d - k_d`` is ``[t^d] (1 - t^deg q) / prod(1 - t^deg g)
-       = f_d``, and all generators have the degrees of the mod-3 table, so
-       ``n_d = m_d``.
-
-    No degree bound enters: each hypothesis is a finite check on the
-    relations (Adams and Loustaunau, *An Introduction to Gröbner Bases*,
-    1994, ch. 4, on leading terms with unit coefficients over Z).
-    """
-    terms = [rel.terms for rel in pres.relations]
-    if any(math.gcd(*t.values()) != 3 for t in terms):
-        return "every relation has content 3"
-    parts = [{e: c // 3 for e, c in t.items()} for t in terms]
-    singles = [next(iter(p)) for p in parts if len(p) == 1]
-    split = {e.index(1) for e in singles if sum(e) == 1}
-    rest = [p for p in parts
-            if not (len(p) == 1 and sum(next(iter(p))) == 1)]
-    if len(rest) != 1 or any(e[i] for e in rest[0] for i in split):
-        return ("every relation over 3 is a generator or the one q with no "
-                "such generator")
-    q = rest[0]
-    weights = pres.context.weights
-    for i in range(len(weights)):
-        top = max(e[i] for e in q)
-        leaders = [e for e in q if e[i] == top]
-        if len(leaders) == 1 and abs(q[leaders[0]]) == 1:
-            break
-    else:
-        return ("q has a unit coefficient on its one term of highest exponent "
-                "in some generator")
-    q_degree = pres.context.weighted_degree(next(iter(q)))
-    others = sorted(w for i, w in enumerate(weights) if i not in split)
-    if (others != sorted(_RSTAR_FREE_DEGREES + (q_degree,))
-            or sorted(weights) != sorted(_RSTAR_MOD3_DEGREES)):
-        return ("the other generators have the degrees 2, 3 and deg q, and all "
-                "have the degrees 2, 3, 4, 6, 6")
-    return None
 
 
 # ---- registry ------------------------------------------------------------------

@@ -1,29 +1,32 @@
 """Finitely generated graded rings over Z presented by homogeneous relations.
 
-The degree-d component of Z[g1..gn]/(r1..rk) is the quotient of the free
-lattice on degree-d generator monomials by the span of every product
-relation * monomial landing in degree d; since the relation ideal is
-homogeneous this span is exactly the ideal's degree-d part, so a Smith normal
-form gives the component's free rank and invariant factors without any
-Groebner machinery.  :func:`graded_components` walks the degrees once,
-reading each basis as packed exponent keys from :func:`poly.graded_bases`,
-the one enumerator of monomial bases, and the products are sparse
-``{column: value}`` rows over it, the input format of
-:func:`intlinalg.invariant_factors`.
+Two ways to the graded components, which share no code and so check each
+other:
 
-Unit generators and implied relations are eliminated before any rows are
-built: callers first pass the presentation through
-:func:`eliminate_unit_generators`, where a relation ``±g + p`` removes the
-generator ``g`` and itself by ``g -> ∓p``, and then every relation that is
-an integer times a monomial times another relation is dropped.  Both keep the
-graded ring, up to isomorphism, so every component is unchanged, while every
-degree's rows lose the columns of monomials containing ``g`` and the rows of
-``±g + p`` and of the implied relations.
+* :func:`graded_components` walks the degrees up to a bound once.  The
+  degree-d component is the lattice on the degree-d monomials modulo every
+  relation * monomial of degree d, the ideal being homogeneous; it reads
+  each basis as packed keys from :func:`poly.graded_bases`, the one
+  enumerator of monomial bases, and takes the Smith invariant factors of
+  sparse ``{column: value}`` rows by :func:`intlinalg.invariant_factors`.
+* :func:`free_summand_certificate` covers every degree when the relations
+  are one content times a Gröbner basis over Z with pairwise coprime
+  leading monomials, a check made once on the relations.
+
+Unit generators and implied relations are eliminated first: callers pass
+the presentation through :func:`eliminate_unit_generators`, where a
+relation ``±g + p`` removes the generator ``g`` and itself by ``g -> ∓p``,
+and then every relation that is an integer times a monomial times another
+relation is dropped.  Both keep the graded ring, up to isomorphism, while
+every degree's rows lose the columns of monomials containing ``g`` and the
+rows of ``±g + p`` and of the implied relations.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -222,6 +225,42 @@ def graded_components(pres: RingPresentation, bound: int,
             rows, len(basis), dense_limit) if x]
         yield GradedComponent(d, len(basis) - len(nonzero),
                               tuple(x for x in nonzero if x > 1))
+
+
+def free_summand_certificate(pres: RingPresentation
+                             ) -> tuple[int, tuple[int, ...]] | str:
+    """``(c, L)`` when the relations certify every graded component of
+    ``pres``, else the text of the first hypothesis they fail.  Zero
+    relations aside, (1) every relation is ``c·p_i`` for one content ``c``,
+    and for some generator ``i``, in the lex order with ``i`` first and ties
+    broken by lex in the written order, (2) each ``p_i`` has a leading
+    coefficient ±1 and (3) the leading monomials are pairwise coprime.
+
+    By Buchberger's first criterion, which carries over to Z with unit
+    leading coefficients, the ``p_i`` are then a Gröbner basis, and
+    ``Z[g]/(p_i)`` is free on the monomials that no leading monomial divides
+    (Adams and Loustaunau, GSM 3, §1.7 and ch. 4).  So ``R_d = Z^(s_d) ⊕
+    (Z/c)^(n_d - s_d)``, ``n_d`` the number of monomials of degree ``d``,
+    with ``sum s_d t^d = prod(1 - t^l) / prod(1 - t^w)`` over the degrees
+    ``l`` in ``L`` of the leading monomials and the generator weights ``w``.
+    No degree bound enters.
+    """
+    terms = [rel.terms for rel in pres.relations if rel.terms]
+    contents = {math.gcd(*t.values()) for t in terms}
+    if len(contents) > 1:
+        return "every relation has the same content"
+    c = contents.pop() if contents else 1
+    failure = "in some lex order every leading coefficient is ±c"
+    # The slice keeps one order to try when there are no generators.
+    for i in range(max(pres.context.arity, 1)):
+        leads = [max(t, key=lambda e: (e[i:i + 1], e)) for t in terms]
+        if any(abs(t[e]) != c for t, e in zip(terms, leads)):
+            continue
+        failure = "in such an order the leading monomials are pairwise coprime"
+        if not any(any(map(min, a, b))
+                   for a, b in itertools.combinations(leads, 2)):
+            return c, tuple(map(pres.context.weighted_degree, leads))
+    return failure
 
 
 def rstar_presentation() -> RingPresentation:

@@ -33,6 +33,9 @@ EXPECTED_NAMES = [
 ]
 
 
+RSTAR_GENERATORS = list(presented.rstar_presentation().generators)
+
+
 class TestRegistry:
     def test_registry_size(self):
         assert len(checks.list_checks()) == 18
@@ -134,7 +137,7 @@ class TestVerdicts:
         assert wit[failures[0]] == \
             "invariant factors (3, 3, 9), expected 3 factors equal to 3"
         assert wit[failures[2]] == \
-            "hypothesis fails: every relation has content 3"
+            "hypothesis fails: every relation has the same content"
 
     def test_rstar_implied_relation_fails_only_the_proof(self, monkeypatch):
         # 3*rho*lam + 3*chi lies in the ideal, so every component keeps its
@@ -151,44 +154,40 @@ class TestVerdicts:
         failures = [key for key in wit if key.startswith("counterexample")]
         assert failures == ["counterexample every-degree proof"]
         assert wit[failures[0]] == (
-            "hypothesis fails: every relation over 3 is a generator or the "
-            "one q with no such generator")
+            "hypothesis fails: in such an order the leading monomials are "
+            "pairwise coprime")
         assert wit["graded components"] == \
             checks.run_check("rstar-structure", 8).witness_dict()[
                 "graded components"]
 
-    def test_every_degree_proof_names_each_hypothesis(self):
-        gens = [("lam", 2), ("c3", 3), ("rho", 4), ("chi", 6), ("c6", 6)]
-        q3 = "81*c6 - 3*c3^2 - 12*lam^3"
-
-        def failure(generators, relations):
-            return checks._every_degree_failure(
-                presented.RingPresentation.from_strings(generators, relations))
-
-        assert failure(gens, ["3*rho", "3*chi", q3]) is None
-        # The proof reads the relations, not their order or signs.
-        assert failure(gens, ["-3*chi", q3, "3*rho"]) is None
-        assert failure(gens, ["3*rho", "6*chi", q3]) == \
-            "every relation has content 3"
-        assert failure(gens, ["3*rho", "3*chi", "3*rho^2", q3]).startswith(
-            "every relation over 3 is a generator")
-        assert failure(gens, ["3*rho", "3*chi"]).startswith(
-            "every relation over 3 is a generator")
-        assert failure(gens, ["3*rho", "3*chi", q3 + " + 3*rho*lam"]) \
-            .startswith("every relation over 3 is a generator")
-        # Only -2*c3^2 leads in c3, and 27*c6 and -4*lam^3 in the others.
-        assert failure(gens, ["3*rho", "3*chi",
-                              "81*c6 - 6*c3^2 - 12*lam^3"]).startswith(
-            "q has a unit coefficient")
-        # With chi free, the non-split degrees are 2, 3, 6, 6, not 2, 3, 6.
-        assert failure(gens, ["3*rho", q3]).startswith(
-            "the other generators have the degrees")
-        # A degree-5 c5 in place of c6, with q of degree 5, keeps the free
-        # ranks but not the mod-3 table.
-        assert failure([("lam", 2), ("c3", 3), ("rho", 4), ("chi", 6),
-                        ("c5", 5)],
-                       ["3*rho", "3*chi", "3*c5 - 3*lam*c3"]).startswith(
-            "the other generators have the degrees")
+    @pytest.mark.parametrize("generators, relations, failure", [
+        # Content 9: every component has Z/9 where the table has Z/3.
+        (RSTAR_GENERATORS,
+         ["9*rho", "9*chi", "9*c8", "243*c6 - 9*c3^2 - 36*lam^3",
+          "rho^2 - c8"], "the content is 3"),
+        # With chi free, the leading degrees are 4, 6 and not 4, 6, 6.
+        (RSTAR_GENERATORS, ["3*rho", "3*c8", "81*c6 - 3*c3^2 - 12*lam^3",
+                            "rho^2 - c8"],
+         "the leading degrees plus 2, 3 and the generator degrees are both 2, 3, 4, 6, 6"),
+        # A degree-5 c5 in place of c6, with a relation of degree 5, keeps
+        # the free ranks but not the mod-3 table.
+        ([("c5", 5) if g == ("c6", 6) else g for g in RSTAR_GENERATORS],
+         ["3*rho", "3*chi", "3*c8", "3*c5 - 3*lam*c3", "rho^2 - c8"],
+         "the leading degrees plus 2, 3 and the generator degrees are both 2, 3, 4, 6, 6"),
+    ])
+    def test_rstar_proof_needs_content_3_and_the_table_degrees(
+            self, monkeypatch, generators, relations, failure):
+        changed = presented.RingPresentation.from_strings(generators, relations)
+        assert not isinstance(presented.free_summand_certificate(
+            presented.eliminate_unit_generators(changed)), str)
+        monkeypatch.setattr(checks, "rstar_presentation", lambda: changed)
+        result = checks.run_check("rstar-structure", 8)
+        assert result.verdict == "fail"
+        failures = [key for key in result.witness_dict()
+                    if key.startswith("counterexample")]
+        assert failures[-1] == "counterexample every-degree proof"
+        assert result.witness_dict()[failures[-1]] == \
+            f"hypothesis fails: {failure}"
 
 
 def _series(numerator, weights, bound):

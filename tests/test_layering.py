@@ -28,6 +28,11 @@ which packs once for the run and reads each degree's basis from
 basis ``monomials_of_degree`` nor a one-degree ``graded_component``, and
 calls ``packing`` in no loop.
 
+The every-degree certificate of a presented ring is the cross-check of its
+Smith table, so the two share no algorithm: ``free_summand_certificate``,
+and every function of ``presented`` it calls, names neither ``intlinalg``
+nor ``invariant_factors``, ``graded_components`` or ``graded_bases``.
+
 Solves hand back integers, so importing the command line front end loads
 neither ``fractions`` nor the ``decimal`` that ``fractions`` imports.  The
 test asks a fresh interpreter, because the test session may load both.
@@ -150,3 +155,24 @@ def test_only_poly_defines_a_basis_enumerator():
                  if f.name == "monomials_of_degree"]
     assert any(isinstance(node, ast.Name) and node.id == "graded_bases"
                for node in ast.walk(method))
+
+
+SMITH_TABLE_NAMES = {"intlinalg", "invariant_factors", "graded_components",
+                     "graded_bases"}
+
+
+def test_the_certificate_shares_no_code_with_the_smith_table():
+    tree = ast.parse((SRC / "presented.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    reached, todo, names = set(), ["free_summand_certificate"], set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        todo += [n for n in names & functions.keys() if n not in reached]
+    assert names & SMITH_TABLE_NAMES == set()

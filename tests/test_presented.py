@@ -1,5 +1,5 @@
-"""Graded components, rational ranks and unit-generator elimination of
-presented rings."""
+"""Graded components, the every-degree certificate, rational ranks and
+unit-generator elimination of presented rings."""
 
 import pytest
 
@@ -16,11 +16,13 @@ from pgl3chow.presented import (
     GradedComponent,
     RingPresentation,
     eliminate_unit_generators,
+    free_summand_certificate,
     graded_components,
     partition_series,
     rstar_presentation,
 )
 from presented_oracle import component_oracle, tuple_relation_rows
+from test_checks import _series
 from test_intlinalg import rank_over_q
 from test_poly import recursive_monomials
 
@@ -219,6 +221,112 @@ class TestPackedRelationRows:
                 assert (0, d, 0) in basis
                 assert (cols, rows) == (len(basis), expected), (bound, d)
             monkeypatch.undo()
+
+
+def certified_components(pres, cert, bound):
+    """The components ``Z^(s_d) ⊕ (Z/c)^(n_d - s_d)`` that the certificate
+    ``(c, L)`` gives for ``d = 0..bound``, with ``sum s_d t^d = prod(1 -
+    t^l) / prod(1 - t^w)`` expanded by hand."""
+    c, leads = cert
+    numerator = {0: 1}
+    for lead in leads:
+        product = dict(numerator)
+        for n, a in numerator.items():
+            product[n + lead] = product.get(n + lead, 0) - a
+        numerator = product
+    weights = pres.context.weights
+    free = _series(numerator, weights, bound)
+    widths = partition_series(weights, bound)
+    return [GradedComponent(d, free[d], (c,) * (widths[d] - free[d]) if c > 1
+                            else ()) for d in range(bound + 1)]
+
+
+RSTAR_REDUCED = [("lam", 2), ("c3", 3), ("rho", 4), ("chi", 6), ("c6", 6)]
+Q3 = "81*c6 - 3*c3^2 - 12*lam^3"
+CONTENT = "every relation has the same content"
+UNIT = "in some lex order every leading coefficient is ±c"
+COPRIME = "in such an order the leading monomials are pairwise coprime"
+
+
+def certificate(generators, relations):
+    return free_summand_certificate(
+        RingPresentation.from_strings(generators, relations))
+
+
+class TestFreeSummandCertificate:
+    def test_rstar_after_elimination(self):
+        pres = eliminate_unit_generators(rstar_presentation())
+        # The order with c3 first leads with rho, chi and c3^2.
+        cert = free_summand_certificate(pres)
+        assert cert == (3, (4, 6, 6))
+        assert certified_components(pres, cert, 20) == components(pres, 20)
+
+    def test_reads_neither_the_order_nor_the_signs(self):
+        assert certificate(RSTAR_REDUCED, ["-3*chi", Q3, "3*rho"]) \
+            == (3, (6, 6, 4))
+        assert certificate(RSTAR_REDUCED, ["3*chi", "-" + Q3, "-3*rho"]) \
+            == (3, (6, 6, 4))
+
+    @pytest.mark.parametrize("relations, failure", [
+        (["3*rho", "9*chi", Q3], CONTENT),
+        (["3*rho", "6*chi", Q3], CONTENT),
+        # Only -2*c3^2 leads in c3, and 27*c6 and -4*lam^3 in the others.
+        (["3*rho", "3*chi", "81*c6 - 6*c3^2 - 12*lam^3"], UNIT),
+        # chi - c3^2 leads with c3^2 wherever q leads with a unit.
+        (["3*rho", "3*chi - 3*c3^2", Q3], COPRIME),
+        (["3*rho", "3*chi", "3*rho^2", Q3], COPRIME),
+    ])
+    def test_rstar_mutants_fail_their_hypothesis(self, relations, failure):
+        assert certificate(RSTAR_REDUCED, relations) == failure
+
+    def test_q_plus_a_multiple_of_rho_passes(self):
+        # (rho, chi, q + rho*lam) = (rho, chi, q), and c3^2 still leads.
+        pres = RingPresentation.from_strings(
+            RSTAR_REDUCED, ["3*rho", "3*chi", Q3 + " + 3*rho*lam"])
+        cert = free_summand_certificate(pres)
+        assert cert == (3, (4, 6, 6))
+        assert certified_components(pres, cert, 16) == components(pres, 16)
+
+    def test_c5_of_degree_five(self):
+        # The order with lam first leads with lam*c3; the degrees differ
+        # from R*, which only rstar-structure asks about.
+        pres = RingPresentation.from_strings(
+            [("lam", 2), ("c3", 3), ("rho", 4), ("chi", 6), ("c5", 5)],
+            ["3*rho", "3*chi", "3*c5 - 3*lam*c3"])
+        cert = free_summand_certificate(pres)
+        assert cert == (3, (4, 6, 5))
+        assert certified_components(pres, cert, 16) == components(pres, 16)
+
+    def test_zero_relations_are_dropped(self):
+        assert certificate(RSTAR_REDUCED, ["0", "3*rho", "3*chi", Q3, "0"]) \
+            == (3, (4, 6, 6))
+        assert certificate(RSTAR_REDUCED, ["0"]) == (1, ())
+
+    def test_no_relations_is_free(self):
+        pres = RingPresentation.from_strings(RSTAR_REDUCED, [])
+        assert free_summand_certificate(pres) == (1, ())
+        assert certified_components(pres, (1, ()), 12) == components(pres, 12)
+        assert certificate([], []) == (1, ())
+
+    def test_constant_one_leaves_every_component_zero(self):
+        pres = RingPresentation.from_strings(RSTAR_REDUCED, ["1"])
+        cert = free_summand_certificate(pres)
+        assert cert == (1, (0,))
+        assert certified_components(pres, cert, 12) == components(pres, 12) \
+            == [GradedComponent(d, 0, ()) for d in range(13)]
+        assert certificate([], ["3"]) == (3, (0,))
+
+    def test_weyl_invariants_are_free(self):
+        # The gamma-syzygy identity: free with the Molien series.
+        pres = RingPresentation.from_strings(
+            [("gamma2", 2), ("gamma3", 3), ("gamma6", 6)],
+            ["gamma3^2 - 4*gamma2^3 + 27*gamma6"])
+        cert = free_summand_certificate(pres)
+        assert cert == (1, (6,))
+        expected = certified_components(pres, cert, 24)
+        assert [comp.free_rank for comp in expected] \
+            == partition_series((2, 3), 24)
+        assert expected == components(pres, 24)
 
 
 class TestPartitionSeries:

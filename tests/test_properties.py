@@ -1,6 +1,7 @@
 """Randomized law checking: ring homomorphisms, group actions, Chern-class
 identities, integer normal forms, the elimination of unit generators from
-presented rings and the packed-exponent kernels against the tuple-based
+presented rings, the every-degree certificate of presented rings against
+their Smith tables and the packed-exponent kernels against the tuple-based
 loops they replaced, each over at least 200 instances."""
 
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from pgl3chow.poly import INTEGERS, Polynomial, RingMap, context, integers_mod, 
 from pgl3chow.presented import (
     RingPresentation,
     eliminate_unit_generators,
+    free_summand_certificate,
     graded_components,
 )
 from pgl3chow.repcalc import (
@@ -35,6 +37,7 @@ from test_intlinalg import (
     sparse_rows,
 )
 from test_poly import tuple_apply, tuple_power
+from test_presented import certified_components
 from test_repcalc import alternating_signs, cauchy_product, tuple_chern_classes
 
 LAW_SETTINGS = settings(max_examples=200, deadline=None)
@@ -425,4 +428,41 @@ class TestPresentationLaws:
         reduced = eliminate_unit_generators(pres)
         assert len(reduced.generators) < len(pres.generators)
         assert list(graded_components(reduced, 8)) \
+            == list(graded_components(pres, 8))
+
+
+@st.composite
+def certified_presentations(draw):
+    """Two to four generators of degree 1..3 and up to three relations
+    ``c*(±m + lower terms)`` for one content ``c`` in 1..4.  The leading
+    monomials ``m`` have disjoint supports, so they are pairwise coprime,
+    and the lower terms are random monomials of the same degree below ``m``
+    in the lex order with a drawn generator first."""
+    degrees = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    names = [f"a{i}" for i in range(len(degrees))]
+    ctx = context(names, degrees)
+    first = draw(st.integers(0, len(degrees) - 1))
+    content = draw(st.integers(1, 4))
+    owners = draw(st.lists(st.integers(-1, 2), min_size=len(degrees),
+                           max_size=len(degrees)))
+    relations = []
+    for r in sorted(set(owners) - {-1}):
+        lead = tuple(draw(st.integers(1, 2)) if o == r else 0 for o in owners)
+        lower = [m for m in ctx.monomials_of_degree(ctx.weighted_degree(lead))
+                 if (m[first], m) < (lead[first], lead)]
+        terms = {lower[k % len(lower)]: c for k, c in draw(SMALL_TERMS)
+                 } if lower else {}
+        terms[lead] = draw(st.sampled_from((1, -1)))
+        relations.append(Polynomial(ctx, INTEGERS, {
+            e: content * c for e, c in terms.items()}))
+    return RingPresentation(tuple(zip(names, degrees)), tuple(relations))
+
+
+class TestCertificateLaws:
+    @LAW_SETTINGS
+    @given(certified_presentations())
+    def test_certified_components_match_the_smith_table(self, pres):
+        cert = free_summand_certificate(pres)
+        assert not isinstance(cert, str), cert
+        assert certified_components(pres, cert, 8) \
             == list(graded_components(pres, 8))
